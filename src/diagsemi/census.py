@@ -22,7 +22,7 @@ import numpy as np
 
 from .elements import PointPermutation, conjugate, is_nontrivial_permutation
 from .engine import EnumeratedSemigroup
-from .kernels import get_backend
+from .kernels import Backend
 
 
 class FeasibilityError(RuntimeError):
@@ -31,6 +31,18 @@ class FeasibilityError(RuntimeError):
 
 
 DEFAULT_MAX_ELEMENTS = 64
+
+_KERNELS = Backend()
+
+
+def check_census_bound(n, max_elements=None):
+    """Refuse an ambient of ``n`` elements over the census bound."""
+    bound = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
+    if n > bound:
+        raise FeasibilityError(
+            f"ambient has {n} elements, over the census bound of {bound}; "
+            "raise DIAGSEMI_MAX_ELEMENTS to run anyway"
+        )
 
 
 class SymmetryGroup:
@@ -70,16 +82,10 @@ def symmetry_group(S: EnumeratedSemigroup, max_degree=8) -> SymmetryGroup:
     return SymmetryGroup(kept, np.vstack(rows))
 
 
-def all_subsemigroup_masks(S, backend=None, max_elements=None):
+def all_subsemigroup_masks(S, max_elements=None):
     """Every product-closed subset of S, as a sorted list of bitmasks."""
     n = len(S)
-    bound = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
-    if n > bound:
-        raise FeasibilityError(
-            f"ambient has {n} elements, over the census bound of {bound}; "
-            "raise DIAGSEMI_MAX_ELEMENTS to run anyway"
-        )
-    backend = backend or get_backend(width=n)
+    check_census_bound(n, max_elements)
     table = S.multiplication_table()
 
     seen = {0}
@@ -91,16 +97,16 @@ def all_subsemigroup_masks(S, backend=None, max_elements=None):
         if lo >= hi:
             continue  # a state with a lower bound got here first
         expanded_lo[mask] = lo
-        for e, closed in backend.extend_window(table, mask, lo, hi):
+        for e, closed in _KERNELS.extend_window(table, mask, lo, hi):
             seen.add(closed)
             if e + 1 < expanded_lo.get(closed, n):
                 work.append((closed, e + 1))
     return sorted(seen)
 
 
-def all_subsemigroups(S, mode="count", backend=None, max_elements=None):
+def all_subsemigroups(S, mode="count", max_elements=None):
     """Count or stream all subsemigroups (the empty set included)."""
-    masks = all_subsemigroup_masks(S, backend=backend, max_elements=max_elements)
+    masks = all_subsemigroup_masks(S, max_elements=max_elements)
     if mode == "count":
         return len(masks)
     if mode == "stream":
@@ -133,34 +139,31 @@ _POOL_STATE = {}
 
 def _stats_worker(args):
     mask, orbit = args
-    table = _POOL_STATE["table"]
-    backend = _POOL_STATE["backend"]
-    perm_bits = _POOL_STATE["perm_bits"]
-    return _make_record(table, backend, perm_bits, mask, orbit)
+    return _make_record(_POOL_STATE["table"], _POOL_STATE["perm_bits"], mask, orbit)
 
 
-def _make_record(table, backend, perm_bits, mask, orbit):
+def _make_record(table, perm_bits, mask, orbit):
     return CensusRecord(
         mask=mask,
         orbit_size=orbit,
         size=bin(mask).count("1"),
-        d_classes=backend.count_dclasses(table, mask),
-        idempotents=backend.count_idempotents(table, mask),
+        d_classes=_KERNELS.count_dclasses(table, mask),
+        idempotents=_KERNELS.count_idempotents(table, mask),
         has_nontrivial_perm=bool(mask & perm_bits),
     )
 
 
-def census_up_to_conjugacy(S, G=None, backend=None, max_elements=None, jobs=1):
+def census_up_to_conjugacy(S, G=None, max_elements=None, jobs=1):
     """One record per conjugacy class of subsemigroups, ordered by
     representative mask; returns (records, raw_total)."""
-    backend = backend or get_backend(width=len(S))
+    check_census_bound(len(S), max_elements)
     if G is None:
         G = symmetry_group(S)
-    masks = all_subsemigroup_masks(S, backend=backend, max_elements=max_elements)
+    masks = all_subsemigroup_masks(S, max_elements=max_elements)
 
     groups = {}
     for m in masks:
-        rep, orbit = backend.min_image(m, G.index_perms)
+        rep, orbit = _KERNELS.min_image(m, G.index_perms)
         groups.setdefault(rep, [orbit, 0])
         groups[rep][1] += 1
     for rep, (orbit, n_in_orbit) in groups.items():
@@ -177,28 +180,30 @@ def census_up_to_conjugacy(S, G=None, backend=None, max_elements=None, jobs=1):
     table = S.multiplication_table()
     items = sorted((rep, orbit) for rep, (orbit, _) in groups.items())
     if jobs > 1 and len(items) > 256:
-        _POOL_STATE.update(table=table, backend=backend, perm_bits=perm_bits)
+        _POOL_STATE.update(table=table, perm_bits=perm_bits)
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             records = pool.map(_stats_worker, items, chunksize=512)
     else:
-        records = [_make_record(table, backend, perm_bits, m, o) for m, o in items]
+        records = [_make_record(table, perm_bits, m, o) for m, o in items]
     assert sum(r.orbit_size for r in records) == len(masks)
     return records, len(masks)
 
 
-def subgroup_census(S, G=None, backend=None, jobs=1):
+def subgroup_census(S, G=None, max_elements=None, jobs=1):
     """Conjugacy classes of subgroups of a group ambient.
 
     Every nonempty closed subset of a finite group is a subgroup, so
     this is the subsemigroup census with the empty set dropped (the one
     row of the published table that excludes it)."""
-    table = S.multiplication_table()
     n = len(S)
+    check_census_bound(n, max_elements)
+    table = S.multiplication_table()
     inverse_ok = all(any(int(table[x, y]) == 0 and int(table[y, x]) == 0
                          for y in range(n)) for x in range(n))
     if not inverse_ok:
         raise ValueError("ambient is not a group")
-    records, _ = census_up_to_conjugacy(S, G=G, backend=backend, jobs=jobs)
+    records, _ = census_up_to_conjugacy(S, G=G, max_elements=max_elements,
+                                        jobs=jobs)
     nonempty = [r for r in records if r.size > 0]
     for r in nonempty:
         if not r.mask & 1:

@@ -7,8 +7,7 @@
     diagsemi fern <n> <dclass-index> --out FILE
 
 Families: PB B PT T I S P IS Br TL (see README for the notation map).
-DIAGSEMI_MAX_ELEMENTS overrides the feasibility bounds,
-DIAGSEMI_NO_NUMBA=1 forces the pure-python kernels.
+DIAGSEMI_MAX_ELEMENTS overrides the feasibility bounds.
 
 Exit status is 0 only when every verification the command performs
 reports MATCH.
@@ -22,7 +21,6 @@ from pathlib import Path
 from . import catalog, census as census_mod, engine
 from .elements import FAMILY_CODES, FAMILY_NAMES
 from .formulas import family_order
-from .kernels import get_backend
 
 
 def _max_elements(default):
@@ -66,12 +64,14 @@ def cmd_order(args):
 
 def cmd_census(args):
     limit = _max_elements(census_mod.DEFAULT_MAX_ELEMENTS)
+    census_mod.check_census_bound(family_order(args.family, args.n), limit)
     S = _enumerate(args.family, args.n, None)
-    backend = get_backend(width=len(S))
-    config = _config_line(args, backend=backend.name, ambient=len(S))
+    # backend=python is a fixed field of the census header: existing
+    # output files carry it and their digests pin those bytes
+    config = _config_line(args, backend="python", ambient=len(S))
 
     if args.family == "S":
-        total = census_mod.subgroup_census(S, jobs=args.jobs)
+        total = census_mod.subgroup_census(S, max_elements=limit, jobs=args.jobs)
         print(f"subgroup classes of S_{args.n} up to conjugacy: {total}")
         if args.raw:
             print("(the symmetric-group row always counts conjugacy classes "
@@ -79,13 +79,12 @@ def cmd_census(args):
         return 0
 
     if args.raw:
-        total = census_mod.all_subsemigroups(S, mode="count", backend=backend,
-                                             max_elements=limit)
+        total = census_mod.all_subsemigroups(S, mode="count", max_elements=limit)
         print(f"subsemigroups of {args.family}_{args.n}: {total}")
         return 0
 
     records, raw_total = census_mod.census_up_to_conjugacy(
-        S, backend=backend, max_elements=limit, jobs=args.jobs)
+        S, max_elements=limit, jobs=args.jobs)
     print(f"subsemigroups of {args.family}_{args.n} up to conjugacy: {len(records)}")
     print(f"raw subsemigroups: {raw_total}")
     if args.stats:

@@ -1,33 +1,15 @@
-"""Hot kernels for the subsemigroup census, with two interchangeable
-backends.
+"""Hot kernels for the subsemigroup census.
 
-Subsets of an enumerated semigroup are bitmasks over element indices;
-the ambient multiplication is an int32 N x N table.  The numba backend
-JIT-compiles the inner loops over uint64 masks (N <= 64); the python
-backend uses plain integers of any width and numpy where it helps, and
-is the only choice for N > 64.
-
-Set ``DIAGSEMI_NO_NUMBA=1`` to force the python backend.
-``benchmarks/bench_backends.py`` compares the two.
+Subsets of an enumerated semigroup are bitmasks over element indices,
+held as plain python ints of any width; the ambient multiplication is
+an int32 N x N table.
 """
 
-import os
-
-import numpy as np
-
-_FORCED_OFF = os.environ.get("DIAGSEMI_NO_NUMBA", "").strip() not in ("", "0")
-
-try:
-    import numba
-except ImportError:  # pragma: no cover
-    numba = None
+# Read by the benchmark's host record; no kernel here is JIT-compiled.
+numba = None
 
 
-# ---------------------------------------------------------------------------
-# python backend
-
-
-def _closure_py(table, mask, first):
+def _closure(table, mask, first):
     """Closure of the closed set ``mask`` after adjoining element ``first``."""
     m = mask | (1 << first)
     stack = [first]
@@ -46,66 +28,6 @@ def _closure_py(table, mask, first):
     return m
 
 
-def _extend_window_py(table, mask, lo, hi):
-    out = []
-    for e in range(lo, hi):
-        if not mask >> e & 1:
-            out.append((e, _closure_py(table, mask, e)))
-    return out
-
-
-def _is_closed_py(table, mask):
-    idx = list(_bits(mask))
-    if not idx:
-        return True
-    arr = np.asarray(idx)
-    prods = np.unique(table[np.ix_(arr, arr)])
-    return all(mask >> int(p) & 1 for p in prods)
-
-
-def _min_image_py(mask, perms):
-    images = set()
-    for row in perms:
-        im = 0
-        for i in _bits(mask):
-            im |= 1 << int(row[i])
-        images.add(im)
-    return min(images), len(images)
-
-
-def _count_idempotents_py(table, mask):
-    return sum(1 for i in _bits(mask) if int(table[i, i]) == i)
-
-
-def _count_dclasses_py(table, mask):
-    elems = list(_bits(mask))
-    ideals = set()
-    for t in elems:
-        ideal = 1 << t
-        stack = [t]
-        while stack:
-            x = stack.pop()
-            for u in elems:
-                for p in (int(table[x, u]), int(table[u, x])):
-                    if not ideal >> p & 1:
-                        ideal |= 1 << p
-                        stack.append(p)
-        ideals.add(ideal)
-    return len(ideals)
-
-
-def _closed_subsets_brute_py(table):
-    """All closed subsets by scanning every one of the 2^N subsets."""
-    n = table.shape[0]
-    if n > 22:
-        raise ValueError("brute-force subset scan is limited to N <= 22")
-    out = []
-    for mask in range(1 << n):
-        if _is_closed_py(table, mask):
-            out.append(mask)
-    return out
-
-
 def _bits(mask):
     while mask:
         low = mask & -mask
@@ -113,221 +35,47 @@ def _bits(mask):
         mask ^= low
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-
-if numba is not None:
-    _U1 = np.uint64(1)
-
-    @numba.njit(cache=True)
-    def _closure_nb(table, mask, first):
-        m = mask | (np.uint64(1) << np.uint64(first))
-        stack = np.empty(64, np.int64)
-        stack[0] = first
-        sp = 1
-        while sp > 0:
-            sp -= 1
-            x = stack[sp]
-            for y in range(table.shape[0]):
-                if (m >> np.uint64(y)) & np.uint64(1):
-                    p = table[x, y]
-                    b = np.uint64(1) << np.uint64(p)
-                    if not m & b:
-                        m |= b
-                        stack[sp] = p
-                        sp += 1
-                    q = table[y, x]
-                    b = np.uint64(1) << np.uint64(q)
-                    if not m & b:
-                        m |= b
-                        stack[sp] = q
-                        sp += 1
-        return m
-
-    @numba.njit(cache=True)
-    def _extend_window_nb(table, mask, lo, hi):
-        es = np.empty(hi - lo, np.int64)
-        closures = np.empty(hi - lo, np.uint64)
-        k = 0
-        for e in range(lo, hi):
-            if not (mask >> np.uint64(e)) & np.uint64(1):
-                es[k] = e
-                closures[k] = _closure_nb(table, mask, e)
-                k += 1
-        return es[:k], closures[:k]
-
-    @numba.njit(cache=True)
-    def _min_image_nb(mask, perms):
-        g = perms.shape[0]
-        n = perms.shape[1]
-        images = np.empty(g, np.uint64)
-        for t in range(g):
-            im = np.uint64(0)
-            for i in range(n):
-                if (mask >> np.uint64(i)) & np.uint64(1):
-                    im |= np.uint64(1) << np.uint64(perms[t, i])
-            images[t] = im
-        images = np.sort(images)
-        distinct = 1
-        for t in range(1, g):
-            if images[t] != images[t - 1]:
-                distinct += 1
-        return images[0], distinct
-
-    @numba.njit(cache=True)
-    def _count_idempotents_nb(table, mask):
-        count = 0
-        for i in range(table.shape[0]):
-            if (mask >> np.uint64(i)) & np.uint64(1) and table[i, i] == i:
-                count += 1
-        return count
-
-    @numba.njit(cache=True)
-    def _count_dclasses_nb(table, mask):
-        n = table.shape[0]
-        elems = np.empty(64, np.int64)
-        k = 0
-        for i in range(n):
-            if (mask >> np.uint64(i)) & np.uint64(1):
-                elems[k] = i
-                k += 1
-        ideals = np.empty(64, np.uint64)
-        n_ideals = 0
-        stack = np.empty(64, np.int64)
-        for ti in range(k):
-            t = elems[ti]
-            ideal = np.uint64(1) << np.uint64(t)
-            stack[0] = t
-            sp = 1
-            while sp > 0:
-                sp -= 1
-                x = stack[sp]
-                for ui in range(k):
-                    u = elems[ui]
-                    p = table[x, u]
-                    b = np.uint64(1) << np.uint64(p)
-                    if not ideal & b:
-                        ideal |= b
-                        stack[sp] = p
-                        sp += 1
-                    q = table[u, x]
-                    b = np.uint64(1) << np.uint64(q)
-                    if not ideal & b:
-                        ideal |= b
-                        stack[sp] = q
-                        sp += 1
-            seen = False
-            for j in range(n_ideals):
-                if ideals[j] == ideal:
-                    seen = True
-                    break
-            if not seen:
-                ideals[n_ideals] = ideal
-                n_ideals += 1
-        return n_ideals
-
-    @numba.njit(cache=True)
-    def _is_closed_nb(table, mask):
-        n = table.shape[0]
-        for x in range(n):
-            if not (mask >> np.uint64(x)) & np.uint64(1):
-                continue
-            for y in range(n):
-                if (mask >> np.uint64(y)) & np.uint64(1):
-                    p = table[x, y]
-                    if not (mask >> np.uint64(p)) & np.uint64(1):
-                        return False
-        return True
-
-    @numba.njit(cache=True)
-    def _closed_subsets_brute_nb(table):
-        n = table.shape[0]
-        out = np.empty(1 << n, np.uint64)
-        k = 0
-        for mask in range(1 << n):
-            if _is_closed_nb(table, np.uint64(mask)):
-                out[k] = mask
-                k += 1
-        return out[:k]
-
-
 class Backend:
-    """Uniform mask-kernel API; masks are python ints at the boundary."""
+    """The census mask kernels; masks are python ints at the boundary.
 
-    def __init__(self, name):
-        if name not in ("numba", "python"):
-            raise ValueError(f"unknown backend {name!r}")
-        if name == "numba" and numba is None:
-            raise RuntimeError("numba is not importable")
-        self.name = name
-
-    def max_width(self):
-        return 64 if self.name == "numba" else None
-
-    def _check(self, table):
-        if self.name == "numba" and table.shape[0] > 64:
-            raise ValueError("numba backend is limited to 64 elements")
-
-    def closure(self, table, mask, first):
-        if self.name == "numba":
-            self._check(table)
-            return int(_closure_nb(table, np.uint64(mask), first))
-        return _closure_py(table, mask, first)
+    ``census`` calls them through one module-level instance, so patching
+    these methods on the class reaches every kernel call."""
 
     def extend_window(self, table, mask, lo, hi):
-        if self.name == "numba":
-            self._check(table)
-            es, closures = _extend_window_nb(table, np.uint64(mask), lo, hi)
-            return [(int(e), int(c)) for e, c in zip(es, closures)]
-        return _extend_window_py(table, mask, lo, hi)
-
-    def is_closed(self, table, mask):
-        if self.name == "numba":
-            self._check(table)
-            return bool(_is_closed_nb(table, np.uint64(mask)))
-        return _is_closed_py(table, mask)
+        """``(e, closure of mask + e)`` for each e in [lo, hi) not in mask."""
+        out = []
+        for e in range(lo, hi):
+            if not mask >> e & 1:
+                out.append((e, _closure(table, mask, e)))
+        return out
 
     def min_image(self, mask, perms):
-        if self.name == "numba":
-            rep, orbit = _min_image_nb(np.uint64(mask), perms)
-            return int(rep), int(orbit)
-        return _min_image_py(mask, perms)
+        """Minimal image of ``mask`` under the rows of ``perms``, and the
+        number of distinct images (the orbit size)."""
+        images = set()
+        for row in perms:
+            im = 0
+            for i in _bits(mask):
+                im |= 1 << int(row[i])
+            images.add(im)
+        return min(images), len(images)
 
     def count_idempotents(self, table, mask):
-        if self.name == "numba":
-            self._check(table)
-            return int(_count_idempotents_nb(table, np.uint64(mask)))
-        return _count_idempotents_py(table, mask)
+        return sum(1 for i in _bits(mask) if int(table[i, i]) == i)
 
     def count_dclasses(self, table, mask):
-        if self.name == "numba":
-            self._check(table)
-            return int(_count_dclasses_nb(table, np.uint64(mask)))
-        return _count_dclasses_py(table, mask)
-
-    def closed_subsets_brute(self, table):
-        if table.shape[0] > 22:
-            raise ValueError("brute-force subset scan is limited to N <= 22")
-        if self.name == "numba":
-            return [int(m) for m in _closed_subsets_brute_nb(table)]
-        return _closed_subsets_brute_py(table)
-
-
-def available_backends():
-    names = ["python"]
-    if numba is not None:
-        names.insert(0, "numba")
-    return names
-
-
-def get_backend(name=None, width=None) -> Backend:
-    """Pick a backend: explicit name, else numba when usable, else python.
-
-    ``width`` is the ambient element count; anything over 64 forces the
-    python backend.
-    """
-    if name is not None:
-        return Backend(name)
-    if _FORCED_OFF or numba is None or (width is not None and width > 64):
-        return Backend("python")
-    return Backend("numba")
+        """Number of distinct principal two-sided ideals inside ``mask``."""
+        elems = list(_bits(mask))
+        ideals = set()
+        for t in elems:
+            ideal = 1 << t
+            stack = [t]
+            while stack:
+                x = stack.pop()
+                for u in elems:
+                    for p in (int(table[x, u]), int(table[u, x])):
+                        if not ideal >> p & 1:
+                            ideal |= 1 << p
+                            stack.append(p)
+            ideals.add(ideal)
+        return len(ideals)

@@ -47,23 +47,15 @@ def pbr_product_by_walks(a: PBR, b: PBR) -> PBR:
     return PBR.from_edges(n, result)
 
 
+def is_closed(table, mask):
+    """Whether x*y lies in ``mask`` for every x and y in ``mask``."""
+    members = [i for i in range(len(table)) if mask >> i & 1]
+    return all(mask >> int(table[x][y]) & 1 for x in members for y in members)
+
+
 def brute_closed_subsets(table):
     """All product-closed subsets of {0..N-1}, by scanning every subset."""
-    n = len(table)
-    out = []
-    for mask in range(1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        ok = True
-        for x in members:
-            for y in members:
-                if not mask >> int(table[x][y]) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(mask)
-    return out
+    return [mask for mask in range(1 << len(table)) if is_closed(table, mask)]
 
 
 def _partition_key(classes):

@@ -14,10 +14,10 @@ from diagsemi.census import (
 )
 from diagsemi.elements import MapElement
 from diagsemi.engine import enumerate_semigroup
-from diagsemi.kernels import get_backend
+from diagsemi.kernels import Backend
 
 from .conftest import monoid
-from .oracles import brute_closed_subsets
+from .oracles import brute_closed_subsets, is_closed
 
 # Published census counts gated at desk scale (the S row counts subgroup
 # classes and excludes the empty set; every other row includes it).
@@ -50,8 +50,7 @@ def test_published_census_counts(family, n, expected):
 @pytest.mark.stretch
 @pytest.mark.parametrize("family,n,expected", STRETCH)
 def test_published_census_counts_stretch(family, n, expected):
-    # Br_4 has 105 elements: over the default bound and the 64-bit kernel
-    # width, so it exercises the python backend end to end
+    # Br_4 has 105 elements: over the default bound and wider than 64 bits
     records, _ = census_up_to_conjugacy(monoid(family, n), max_elements=128)
     assert len(records) == expected
 
@@ -78,10 +77,9 @@ def test_search_agrees_with_subset_scan(family, n):
 
 def test_every_emitted_mask_is_closed():
     S = monoid("T", 3)
-    backend = get_backend(width=len(S))
     table = S.multiplication_table()
     for mask in all_subsemigroups(S, mode="stream"):
-        assert backend.is_closed(table, mask)
+        assert is_closed(table, mask)
 
 
 def test_symmetry_groups():
@@ -108,21 +106,21 @@ def test_symmetry_group_closed_under_composition():
 def test_orbit_sum_identity_and_minimal_image():
     S = monoid("P", 2)
     G = symmetry_group(S)
-    backend = get_backend(width=len(S))
-    records, raw = census_up_to_conjugacy(S, G=G, backend=backend)
+    kernels = Backend()
+    records, raw = census_up_to_conjugacy(S, G=G)
     assert sum(r.orbit_size for r in records) == raw
     rng = random.Random(17)
     masks = all_subsemigroup_masks(S)
     for mask in rng.sample(masks, 60):
-        rep, orbit = backend.min_image(mask, G.index_perms)
-        again, _ = backend.min_image(rep, G.index_perms)
+        rep, orbit = kernels.min_image(mask, G.index_perms)
+        again, _ = kernels.min_image(rep, G.index_perms)
         assert again == rep  # idempotent
         for row in G.index_perms:
             image = 0
             for i in range(len(S)):
                 if mask >> i & 1:
                     image |= 1 << int(row[i])
-            assert backend.min_image(image, G.index_perms)[0] == rep
+            assert kernels.min_image(image, G.index_perms)[0] == rep
 
 
 def test_subgroup_census_values():
@@ -173,6 +171,10 @@ def test_feasibility_bound_refuses_not_lies():
     S = monoid("T", 3)
     with pytest.raises(FeasibilityError):
         all_subsemigroups(S, mode="count", max_elements=10)
+    with pytest.raises(FeasibilityError):
+        census_up_to_conjugacy(S, max_elements=10)
+    with pytest.raises(FeasibilityError, match="bound of 10"):
+        subgroup_census(monoid("S", 4), max_elements=10)
 
 
 def test_census_deterministic_across_jobs():
@@ -183,20 +185,25 @@ def test_census_deterministic_across_jobs():
     assert a == b
 
 
-def test_census_stats_match_brute_force_on_subsemigroups():
-    """Per-record D-class/idempotent stats vs brute-force divisibility on
-    the restricted multiplication table."""
+@pytest.mark.parametrize("family,n", [("T", 3), ("P", 2), ("TL", 4), ("B", 2)])
+def test_census_stats_match_brute_force_on_subsemigroups(family, n):
+    """Per-record representative, orbit and D-class/idempotent stats vs
+    the orbit by definition and brute-force divisibility on the
+    restricted multiplication table."""
     import numpy as np
 
     from .oracles import brute_j_classes
 
-    S = monoid("TL", 4)
+    S = monoid(family, n)
     table = S.multiplication_table()
-    records, _ = census_up_to_conjugacy(S)
+    G = symmetry_group(S)
+    records, _ = census_up_to_conjugacy(S, G=G)
     rng = random.Random(4)
     sample = [r for r in records if r.size > 0]
     for r in rng.sample(sample, 40):
         members = [i for i in range(len(S)) if r.mask >> i & 1]
+        images = {sum(1 << int(row[i]) for i in members) for row in G.index_perms}
+        assert (min(images), len(images)) == (r.mask, r.orbit_size)
         local = {g: k for k, g in enumerate(members)}
         sub = np.array([[local[int(table[x, y])] for y in members] for x in members])
         assert len(set(brute_j_classes(sub))) == r.d_classes

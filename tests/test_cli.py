@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -55,8 +56,11 @@ def test_census_stats_files(tmp_path, capsys):
                    "_size_vs_dclasses.csv", "_size_vs_idempotents.csv"):
         assert (tmp_path / f"census_T2{suffix}").exists()
     rows = [json.loads(line) for line in (tmp_path / "census_T2.jsonl").read_text().splitlines()]
-    assert "config" in rows[0]
+    config = "diagsemi command=census family=T n=2 backend=python ambient=4"
+    assert rows[0] == {"config": config}
     assert len(rows) - 1 == 8
+    header = (tmp_path / "census_T2_sizes.csv").read_text().splitlines()[0]
+    assert header == f"# {config}"
 
 
 def test_census_jobs_byte_identical(tmp_path, capsys):
@@ -117,6 +121,20 @@ def test_feasibility_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "64")
     code, _, _ = run_cli(capsys, "census", "T", "3")
     assert code == 0
+
+
+def test_feasibility_env_bounds_subgroup_census(capsys, monkeypatch):
+    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "10")
+    code, out, err = run_cli(capsys, "census", "S", "4")
+    assert code == 2 and "bound of 10" in err and not out
+
+
+@pytest.mark.parametrize("family,n,order", [("S", 6, 720), ("Br", 6, 10395)])
+def test_census_refuses_before_enumerating(capsys, family, n, order):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "census", family, n)
+    assert code == 2 and f"{order} elements" in err and "bound of 64" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_console_entrypoint_subprocess():

@@ -1,94 +1,31 @@
-import random
-
 import numpy as np
-import pytest
 
-from diagsemi.census import symmetry_group
-from diagsemi.kernels import Backend, available_backends, get_backend
+from diagsemi.kernels import Backend
 
-from .conftest import monoid
+from .oracles import is_closed
 
-BACKENDS = [Backend(name) for name in available_backends()]
-
-
-def _random_closed_masks(S, backend, k, rng):
-    from diagsemi.census import all_subsemigroup_masks
-
-    masks = all_subsemigroup_masks(S, backend=backend)
-    return rng.sample(masks, min(k, len(masks)))
-
-
-@pytest.mark.parametrize("family,n", [("T", 3), ("P", 2), ("TL", 4), ("B", 2)])
-def test_backends_agree_on_everything(family, n):
-    S = monoid(family, n)
-    table = S.multiplication_table()
-    G = symmetry_group(S)
-    rng = random.Random(n)
-    results = []
-    for backend in BACKENDS:
-        from diagsemi.census import all_subsemigroup_masks
-
-        masks = all_subsemigroup_masks(S, backend=backend)
-        sample = rng.sample(masks, min(50, len(masks)))
-        stats = [
-            (
-                backend.min_image(m, G.index_perms),
-                backend.count_idempotents(table, m),
-                backend.count_dclasses(table, m),
-                backend.is_closed(table, m),
-            )
-            for m in sample
-        ]
-        results.append((masks, stats))
-        rng = random.Random(n)  # same sample for the next backend
-    first = results[0]
-    for other in results[1:]:
-        assert other == first
-
-
-def test_backend_brute_scan_agrees():
-    S = monoid("I", 2)
-    table = S.multiplication_table()
-    scans = [set(b.closed_subsets_brute(table)) for b in BACKENDS]
-    for s in scans[1:]:
-        assert s == scans[0]
+KERNELS = Backend()
 
 
 def test_closure_basics():
     table = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 2]], dtype=np.int32)
-    for backend in BACKENDS:
-        # closing {1} pulls in 1*1=0
-        assert backend.closure(table, 0, 1) == 0b011
-        assert backend.closure(table, 0, 2) == 0b100
-        assert backend.is_closed(table, 0b100)
-        assert not backend.is_closed(table, 0b010)
-        exts = dict(backend.extend_window(table, 0b100, 0, 3))
-        assert exts == {0: 0b101, 1: 0b111}
+    # closing {1} pulls in 1*1=0
+    assert dict(KERNELS.extend_window(table, 0, 0, 3)) == {0: 0b001, 1: 0b011, 2: 0b100}
+    exts = dict(KERNELS.extend_window(table, 0b100, 0, 3))
+    assert exts == {0: 0b101, 1: 0b111}
+    assert all(is_closed(table, m) for m in exts.values())
 
 
-def test_numba_backend_width_limit():
-    if len(BACKENDS) < 2:
-        pytest.skip("numba not available")
-    big = np.zeros((65, 65), dtype=np.int32)
-    with pytest.raises(ValueError):
-        Backend("numba").is_closed(big, 0)
-    # python backend has no width limit
-    assert Backend("python").is_closed(big, 0b11)
-
-
-def test_env_flag_selects_python(monkeypatch):
-    import importlib
-
-    import diagsemi.kernels as K
-
-    monkeypatch.setenv("DIAGSEMI_NO_NUMBA", "1")
-    importlib.reload(K)
-    try:
-        assert K.get_backend().name == "python"
-    finally:
-        monkeypatch.delenv("DIAGSEMI_NO_NUMBA")
-        importlib.reload(K)
-
-
-def test_default_backend_width_dispatch():
-    assert get_backend(width=200).name == "python"
+def test_extend_window_wider_than_64():
+    # x*y = min(x + y, n - 1): the closure of {e} is {e, 2e, 3e, ...} capped
+    n = 70
+    idx = np.arange(n)
+    table = np.minimum(idx[:, None] + idx[None, :], n - 1).astype(np.int32)
+    assert KERNELS.extend_window(table, 0, 1, 2) == [(1, (1 << n) - 2)]
+    top = 1 << (n - 1)
+    assert dict(KERNELS.extend_window(table, 0, 40, n)) == {
+        e: 1 << e | top for e in range(40, n)}
+    mask = 1 << 35 | top
+    exts = dict(KERNELS.extend_window(table, mask, 60, n))
+    assert exts == {e: mask | 1 << e for e in range(60, n - 1)}
+    assert all(is_closed(table, m) for m in exts.values())
