@@ -185,8 +185,28 @@ def test_census_deterministic_across_jobs():
     assert a == b
 
 
+def test_census_stats_match_brute_force_on_subsemigroups():
+    """Per-record D-class/idempotent stats vs brute-force divisibility on
+    the restricted multiplication table."""
+    import numpy as np
+
+    from .oracles import brute_j_classes
+
+    S = monoid("TL", 4)
+    table = S.multiplication_table()
+    records, _ = census_up_to_conjugacy(S)
+    rng = random.Random(4)
+    sample = [r for r in records if r.size > 0]
+    for r in rng.sample(sample, 40):
+        members = [i for i in range(len(S)) if r.mask >> i & 1]
+        local = {g: k for k, g in enumerate(members)}
+        sub = np.array([[local[int(table[x, y])] for y in members] for x in members])
+        assert len(set(brute_j_classes(sub))) == r.d_classes
+        assert sum(1 for x in members if int(table[x, x]) == x) == r.idempotents
+
+
 @pytest.mark.parametrize("family,n", [("T", 3), ("P", 2), ("TL", 4), ("B", 2)])
-def test_census_stats_match_brute_force_on_subsemigroups(family, n):
+def test_census_records_match_oracles(family, n):
     """Per-record representative, orbit and D-class/idempotent stats vs
     the orbit by definition and brute-force divisibility on the
     restricted multiplication table."""
