@@ -180,6 +180,7 @@ def census_up_to_conjugacy(S, G=None, max_elements=None, jobs=1):
     table = S.multiplication_table()
     items = sorted((rep, orbit) for rep, (orbit, _) in groups.items())
     if jobs > 1 and len(items) > 256:
+        _KERNELS.product_tables(table)  # built once here, inherited by the fork
         _POOL_STATE.update(table=table, perm_bits=perm_bits)
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             records = pool.map(_stats_worker, items, chunksize=512)

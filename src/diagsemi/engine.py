@@ -211,6 +211,7 @@ class GreenStructure:
         self.d_class = d_class
         self.d_order = d_order
         self.d_leq = d_leq  # set of pairs (a, b) with D_a below-or-equal D_b
+        self._eggboxes = {}  # position -> Eggbox, filled by eggbox()
 
     def n_d_classes(self):
         return len(self.d_order)
@@ -334,11 +335,14 @@ def eggbox(green, position: int) -> Eggbox:
     """The eggbox grid of the D-class at the given position of d_order.
 
     Accepts a GreenStructure or an EnumeratedSemigroup (recomputing the
-    structure in the latter case)."""
+    structure in the latter case).  A structure builds each of its
+    eggboxes once and returns the same box on later calls."""
     if isinstance(green, EnumeratedSemigroup):
         green = green_structure(green)
     if not 0 <= position < len(green.d_order):
         raise ValueError(f"no D-class at position {position}")
+    if position in green._eggboxes:
+        return green._eggboxes[position]
     d_id = green.d_order[position]
     S = green.S
     members = green.d_class_elements(d_id)
@@ -359,7 +363,8 @@ def eggbox(green, position: int) -> Eggbox:
                 if x * x == x:
                     idem[r, c] = True
                     break
-    return Eggbox(rows, cols, cells, idem)
+    box = green._eggboxes[position] = Eggbox(rows, cols, cells, idem)
+    return box
 
 
 def idempotents(S: EnumeratedSemigroup):
@@ -420,16 +425,13 @@ def ideals_of(S: EnumeratedSemigroup, max_count=100000):
 
 
 class ReesZero:
-    """Adjoined zero of a Rees quotient."""
+    """Adjoined zero of a Rees quotient.  Each quotient builds its own;
+    zeros of quotients by the same ideal compare equal."""
 
-    _instances = {}
+    __slots__ = ("ideal",)
 
-    def __new__(cls, tag):
-        if tag not in cls._instances:
-            obj = super().__new__(cls)
-            obj.tag = tag
-            cls._instances[tag] = obj
-        return cls._instances[tag]
+    def __init__(self, ideal):
+        self.ideal = ideal
 
     def __mul__(self, other):
         if isinstance(other, (ReesZero, ReesElement)):
@@ -439,19 +441,26 @@ class ReesZero:
     def __rmul__(self, other):
         return self
 
+    def __eq__(self, other):
+        return isinstance(other, ReesZero) and (self.ideal is other.ideal
+                                                or self.ideal == other.ideal)
+
+    def __hash__(self):
+        return hash(("rees-zero", self.ideal))
+
     def __repr__(self):
         return "ReesZero"
 
 
 class ReesElement:
-    """Element of S/I: a non-ideal element of S, multiplied mod the ideal."""
+    """Element of S/I: a non-ideal element of S, multiplied mod the ideal.
+    It carries the zero of its quotient, and with it the ideal."""
 
-    __slots__ = ("payload", "ideal", "tag")
+    __slots__ = ("payload", "zero")
 
-    def __init__(self, payload, ideal, tag):
+    def __init__(self, payload, zero):
         self.payload = payload
-        self.ideal = ideal
-        self.tag = tag
+        self.zero = zero
 
     def __mul__(self, other):
         if isinstance(other, ReesZero):
@@ -459,12 +468,13 @@ class ReesElement:
         if not isinstance(other, ReesElement):
             return NotImplemented
         p = self.payload * other.payload
-        if p in self.ideal:
-            return ReesZero(self.tag)
-        return ReesElement(p, self.ideal, self.tag)
+        if p in self.zero.ideal:
+            return self.zero
+        return ReesElement(p, self.zero)
 
     def __eq__(self, other):
-        return isinstance(other, ReesElement) and self.payload == other.payload
+        return (isinstance(other, ReesElement) and self.payload == other.payload
+                and self.zero == other.zero)
 
     def __hash__(self):
         return hash(("rees", self.payload))
@@ -478,12 +488,10 @@ def rees_quotient(S: EnumeratedSemigroup, ideal_indices) -> EnumeratedSemigroup:
     idx = sorted(set(ideal_indices))
     if not is_ideal(S, idx):
         raise ValueError("the given subset is not a two-sided ideal")
-    ideal_elems = frozenset(S.elements[i] for i in idx)
-    tag = id(ideal_elems)
-    zero = ReesZero(tag)
+    zero = ReesZero(frozenset(S.elements[i] for i in idx))
     if len(idx) == len(S):
         return enumerate_semigroup([zero], identity=zero)
-    wrap = lambda x: zero if x in ideal_elems else ReesElement(x, ideal_elems, tag)
+    wrap = lambda x: zero if x in zero.ideal else ReesElement(x, zero)
     gens = [wrap(g) for g in S.gens]
     return enumerate_semigroup(gens, identity=wrap(S.elements[0]))
 

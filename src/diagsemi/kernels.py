@@ -3,29 +3,68 @@
 Subsets of an enumerated semigroup are bitmasks over element indices,
 held as plain python ints of any width; the ambient multiplication is
 an int32 N x N table.
+
+The kernels work on whole masks through nibble lookup tables.  For an
+element x and the 4-bit chunk c of a mask (elements 4c .. 4c+3), the
+product table of x holds 16 entries: entry b is the OR of
+``1 << table[x, y] | 1 << table[y, x]`` over the elements y of the chunk
+whose bits are set in b.  ``x·M ∪ M·x`` is then the OR of ⌈N/4⌉
+lookups, one per chunk of M.  The images of a mask under the |G| rows
+of a permutation array are packed into one int, row g at bits g·N and
+up: entry b of chunk c is the OR of ``1 << (g·N + row_g[y])`` over the
+rows g and the elements y of the chunk whose bits are set in b, so all
+|G| images together cost ⌈N/4⌉ lookups.  Chunks of 4 bits rather than
+8 keep the tables several times smaller at about the same speed.
+
+A ``Backend`` keeps the tables of the last multiplication table and of
+the last permutation array it saw, one entry for each kind.  The cache compares
+by identity and holds a strong reference to the array, so an id can
+never be reused while its tables are cached; an array must not be
+changed in place once a kernel has seen it.  Building the tables before
+a fork lets the pool's children inherit them.
 """
+
+from functools import reduce
+from operator import getitem, or_
 
 # Read by the benchmark's host record; no kernel here is JIT-compiled.
 numba = None
 
+_HEX_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
-def _closure(table, mask, first):
-    """Closure of the closed set ``mask`` after adjoining element ``first``."""
-    m = mask | (1 << first)
-    stack = [first]
-    while stack:
-        x = stack.pop()
-        rest = m
-        while rest:
-            low = rest & -rest
-            y = low.bit_length() - 1
-            rest ^= low
-            for p in (int(table[x, y]), int(table[y, x])):
-                b = 1 << p
-                if not m & b:
-                    m |= b
-                    stack.append(p)
-    return m
+
+def _nibbles(mask, width):
+    """The ``width`` lowest 4-bit chunks of ``mask``, lowest first."""
+    return bytearray(format(mask, f"0{width}x").encode().translate(_HEX_DIGIT)[::-1])
+
+
+def _lookup(tables, nibbles):
+    """OR over the chunks c of a mask of ``tables[c][nibbles[c]]``."""
+    return reduce(or_, map(getitem, tables, nibbles))
+
+
+def _nibble_tables(values):
+    """Per 4-bit chunk, the ORs of the subsets of its (up to four) ``values``,
+    indexed by the subset as a bitmask."""
+    out = []
+    for c in range(0, len(values), 4):
+        t = [0]
+        for v in values[c:c + 4]:
+            t += [u | v for u in t]
+        out.append(t)
+    return out
+
+
+def _product_tables(rows):
+    n = len(rows)
+    return [_nibble_tables([1 << rows[x][y] | 1 << rows[y][x] for y in range(n)])
+            for x in range(n)]
+
+
+def _image_tables(rows):
+    n = len(rows[0])
+    return _nibble_tables([sum(1 << (g * n + row[y]) for g, row in enumerate(rows))
+                           for y in range(n)])
 
 
 def _bits(mask):
@@ -35,47 +74,69 @@ def _bits(mask):
         mask ^= low
 
 
+def _closure(products, mask, first):
+    """Closure of the closed set ``mask`` after adjoining element ``first``;
+    the nibbles of the closed set grow along with it."""
+    m = mask | 1 << first
+    nib = _nibbles(m, len(products[0]))
+    stack = [first]
+    while stack:
+        new = _lookup(products[stack.pop()], nib) & ~m
+        if new:
+            m |= new
+            for p in _bits(new):
+                nib[p >> 2] |= 1 << (p & 3)
+                stack.append(p)
+    return m
+
+
 class Backend:
     """The census mask kernels; masks are python ints at the boundary.
 
     ``census`` calls them through one module-level instance, so patching
     these methods on the class reaches every kernel call."""
 
+    def __init__(self):
+        self._cache = {}  # table builder -> (array, its tables)
+
+    def _tables(self, build, array):
+        cached, tables = self._cache.get(build, (None, None))
+        if cached is not array:
+            tables = build(array.tolist())
+            self._cache[build] = (array, tables)
+        return tables
+
+    def product_tables(self, table):
+        """The product nibble tables of ``table``, built unless the cache
+        holds this very array."""
+        return self._tables(_product_tables, table)
+
     def extend_window(self, table, mask, lo, hi):
         """``(e, closure of mask + e)`` for each e in [lo, hi) not in mask."""
-        out = []
-        for e in range(lo, hi):
-            if not mask >> e & 1:
-                out.append((e, _closure(table, mask, e)))
-        return out
+        products = self.product_tables(table)
+        return [(e, _closure(products, mask, e))
+                for e in range(lo, hi) if not mask >> e & 1]
 
     def min_image(self, mask, perms):
         """Minimal image of ``mask`` under the rows of ``perms``, and the
         number of distinct images (the orbit size)."""
-        images = set()
-        for row in perms:
-            im = 0
-            for i in _bits(mask):
-                im |= 1 << int(row[i])
-            images.add(im)
+        tables = self._tables(_image_tables, perms)
+        packed = _lookup(tables, _nibbles(mask, len(tables)))
+        order, n = perms.shape
+        full = (1 << n) - 1
+        images = {packed >> (g * n) & full for g in range(order)}
         return min(images), len(images)
 
     def count_idempotents(self, table, mask):
         return sum(1 for i in _bits(mask) if int(table[i, i]) == i)
 
     def count_dclasses(self, table, mask):
-        """Number of distinct principal two-sided ideals inside ``mask``."""
-        elems = list(_bits(mask))
-        ideals = set()
-        for t in elems:
-            ideal = 1 << t
-            stack = [t]
-            while stack:
-                x = stack.pop()
-                for u in elems:
-                    for p in (int(table[x, u]), int(table[u, x])):
-                        if not ideal >> p & 1:
-                            ideal |= 1 << p
-                            stack.append(p)
-            ideals.add(ideal)
-        return len(ideals)
+        """Number of D-classes of the subsemigroup ``mask``: its distinct
+        principal two-sided ideals."""
+        products = self.product_tables(table)
+        nib = _nibbles(mask, len(products[0]))
+        succ = {x: _lookup(products[x], nib) for x in _bits(mask)}
+        # the ideal of t is {t} | tT | Tt | TtT, and TtT = T(tT) lies in
+        # the successors of tT, so two steps from t reach all of it
+        return len({reduce(or_, map(succ.__getitem__, _bits(s)), 1 << t | s)
+                    for t, s in succ.items()})

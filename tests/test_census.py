@@ -22,37 +22,40 @@ from .oracles import brute_closed_subsets, is_closed
 # Published census counts gated at desk scale (the S row counts subgroup
 # classes and excludes the empty set; every other row includes it).
 TABLE3 = [
-    ("TL", 1, 2), ("TL", 2, 4), ("TL", 3, 12), ("TL", 4, 232),
+    ("TL", 1, 2), ("TL", 2, 4), ("TL", 3, 12), ("TL", 4, 232), ("TL", 5, 12592),
     ("Br", 1, 2), ("Br", 2, 6), ("Br", 3, 42),
     ("S", 1, 1), ("S", 2, 2), ("S", 3, 4), ("S", 4, 11),
     ("T", 1, 2), ("T", 2, 8), ("T", 3, 283),
-    ("I", 1, 4), ("I", 2, 23),
+    ("I", 1, 4), ("I", 2, 23), ("I", 3, 2963),
     ("PT", 1, 4), ("PT", 2, 50),
     ("P", 1, 4), ("P", 2, 272),
     ("B", 1, 4), ("B", 2, 385),
-    ("IS", 1, 2), ("IS", 2, 6),
+    ("IS", 1, 2), ("IS", 2, 6), ("IS", 3, 795),
     ("PB", 1, 1262),
 ]
 
-STRETCH = [("I", 3, 2963), ("IS", 3, 795), ("TL", 5, 12592), ("Br", 4, 10411)]
+# Br_4 (105 elements) and S_5 (120) are over the default bound and wider
+# than 64 bits
+STRETCH = [("Br", 4, 10411), ("S", 5, 19)]
+
+
+def _census_count(family, n, max_elements=None):
+    S = monoid(family, n)
+    if family == "S":
+        return subgroup_census(S, max_elements=max_elements)
+    records, _ = census_up_to_conjugacy(S, max_elements=max_elements)
+    return len(records)
 
 
 @pytest.mark.parametrize("family,n,expected", TABLE3)
 def test_published_census_counts(family, n, expected):
-    S = monoid(family, n)
-    if family == "S":
-        assert subgroup_census(S) == expected
-    else:
-        records, _ = census_up_to_conjugacy(S)
-        assert len(records) == expected
+    assert _census_count(family, n) == expected
 
 
 @pytest.mark.stretch
 @pytest.mark.parametrize("family,n,expected", STRETCH)
 def test_published_census_counts_stretch(family, n, expected):
-    # Br_4 has 105 elements: over the default bound and wider than 64 bits
-    records, _ = census_up_to_conjugacy(monoid(family, n), max_elements=128)
-    assert len(records) == expected
+    assert _census_count(family, n, max_elements=200) == expected
 
 
 def test_trivial_ambient():

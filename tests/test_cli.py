@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from diagsemi import engine
 from diagsemi.cli import main
 
 
@@ -83,6 +84,22 @@ def test_green_tl4(capsys):
     code, out, _ = run_cli(capsys, "green", "TL", "4")
     assert code == 0
     assert "3 D-classes" in out and "linearly ordered" in out
+
+
+def test_green_json_builds_each_eggbox_once(tmp_path, capsys, monkeypatch):
+    built = []
+
+    class CountedEggbox(engine.Eggbox):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "Eggbox", CountedEggbox)
+    path = tmp_path / "green.json"
+    code, out, _ = run_cli(capsys, "green", "T", "3", "--json", path)
+    assert code == 0 and "3 D-classes" in out
+    assert len(json.loads(path.read_text())["eggbox"]) == 3
+    assert len(built) == 3
 
 
 def test_fern_pgm(tmp_path, capsys):

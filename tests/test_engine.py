@@ -208,6 +208,23 @@ def test_rees_quotient_t2_by_constants():
                 assert (a * b) * c == a * (b * c)
 
 
+def test_rees_quotients_keep_their_own_zero_and_ideal():
+    S = monoid("T", 3)
+    ideals = [i for i in ideals_of(S) if len(i) < len(S)]
+    assert [len(i) for i in ideals] == [3, 21]
+    small, large = (rees_quotient(S, i) for i in ideals)
+    # the identity lies in neither ideal: one payload, two quotients
+    assert small.elements[0].payload == large.elements[0].payload
+    assert small.elements[0] != large.elements[0]
+    # quotients built and dropped in turn: each keeps a zero of its own
+    zeros = []
+    for k in range(100):
+        Q = rees_quotient(S, ideals[k % 2])
+        zeros.append(next(x for x in Q.elements if isinstance(x, ReesZero)))
+    assert len({id(z) for z in zeros}) == len(zeros)
+    assert all(z == zeros[k % 2] != zeros[1 - k % 2] for k, z in enumerate(zeros))
+
+
 def test_rees_quotient_rejects_non_ideal():
     S = monoid("T", 2)
     with pytest.raises(ValueError):

@@ -1,10 +1,42 @@
-import numpy as np
+import random
 
+import numpy as np
+import pytest
+
+from diagsemi.census import all_subsemigroup_masks, symmetry_group
 from diagsemi.kernels import Backend
 
-from .oracles import is_closed
+from .conftest import monoid
+from .oracles import brute_j_classes, is_closed
 
 KERNELS = Backend()
+
+
+def _capped_sum(n):
+    # x*y = min(x + y, n - 1): the closure of {e} is {e, 2e, 3e, ...} capped
+    idx = np.arange(n)
+    return np.minimum(idx[:, None] + idx[None, :], n - 1).astype(np.int32)
+
+
+def _orbit(mask, perms):
+    """Images of ``mask`` under each row, by definition."""
+    return {sum(1 << int(row[i]) for i in range(len(row)) if mask >> i & 1)
+            for row in perms}
+
+
+def _j_classes(table, mask):
+    members = [i for i in range(len(table)) if mask >> i & 1]
+    local = {g: k for k, g in enumerate(members)}
+    sub = np.array([[local[int(table[x, y])] for y in members] for x in members])
+    return len(set(brute_j_classes(sub))) if members else 0
+
+
+def _check_against_oracles(kernels, table, perms, masks):
+    for mask in masks:
+        assert is_closed(table, mask)
+        orbit = _orbit(mask, perms)
+        assert kernels.min_image(mask, perms) == (min(orbit), len(orbit))
+        assert kernels.count_dclasses(table, mask) == _j_classes(table, mask)
 
 
 def test_closure_basics():
@@ -17,10 +49,8 @@ def test_closure_basics():
 
 
 def test_extend_window_wider_than_64():
-    # x*y = min(x + y, n - 1): the closure of {e} is {e, 2e, 3e, ...} capped
     n = 70
-    idx = np.arange(n)
-    table = np.minimum(idx[:, None] + idx[None, :], n - 1).astype(np.int32)
+    table = _capped_sum(n)
     assert KERNELS.extend_window(table, 0, 1, 2) == [(1, (1 << n) - 2)]
     top = 1 << (n - 1)
     assert dict(KERNELS.extend_window(table, 0, 40, n)) == {
@@ -29,3 +59,60 @@ def test_extend_window_wider_than_64():
     exts = dict(KERNELS.extend_window(table, mask, 60, n))
     assert exts == {e: mask | 1 << e for e in range(60, n - 1)}
     assert all(is_closed(table, m) for m in exts.values())
+
+
+def test_min_image_and_dclasses_wider_than_64():
+    n = 70
+    table = _capped_sum(n)
+    rng = random.Random(70)
+    perms = np.array([list(range(n))] + [rng.sample(range(n), n) for _ in range(7)],
+                     dtype=np.int32)
+    singles = [m for _, m in KERNELS.extend_window(table, 0, 0, n)]
+    masks = {0} | set(singles)
+    for mask in rng.sample(singles, 12):
+        masks.update(m for _, m in KERNELS.extend_window(table, mask, 0, n))
+    _check_against_oracles(KERNELS, table, perms, sorted(masks))
+
+
+@pytest.mark.parametrize("family,n", [("IS", 3), ("T", 3), ("P", 2)])
+def test_kernels_on_widths_not_a_multiple_of_4(family, n):
+    S = monoid(family, n)
+    assert len(S) % 4
+    table = S.multiplication_table()
+    masks = all_subsemigroup_masks(S)
+    sample = random.Random(len(S)).sample(masks, min(80, len(masks)))
+    _check_against_oracles(KERNELS, table, symmetry_group(S).index_perms, sample)
+
+
+def test_cache_never_serves_a_stale_array():
+    """One instance alternates two tables and two permutation arrays of
+    one shape; each call gets a fresh copy, and each copy is dropped
+    before the next is made, so a new copy can take the id of one the
+    cache saw unless the cache holds on to it."""
+    n = 30
+    left_zero = np.repeat(np.arange(n, dtype=np.int32)[:, None], n, axis=1)
+    tables = [_capped_sum(n), left_zero]
+    rng = random.Random(30)
+    perm_arrays = [np.array([rng.sample(range(n), n) for _ in range(4)], dtype=np.int32)
+                   for _ in range(2)]
+    masks = [1 << 29, 1 << 10 | 1 << 20 | 1 << 29, (1 << n) - 1]
+    assert all(is_closed(t, m) for t in tables for m in masks)
+
+    def table_results(kernels, t):
+        return (kernels.extend_window(t, 1 << 29, 0, n),
+                [kernels.count_dclasses(t, m) for m in masks])
+
+    def perm_results(kernels, p):
+        return [kernels.min_image(m, p) for m in masks]
+
+    by_table = [table_results(Backend(), t) for t in tables]
+    by_perms = [perm_results(Backend(), p) for p in perm_arrays]
+    assert by_table[0] != by_table[1] and by_perms[0] != by_perms[1]
+    kernels = Backend()
+    for step in range(8):
+        t = tables[step % 2].copy()
+        assert table_results(kernels, t) == by_table[step % 2]
+        del t
+        p = perm_arrays[step // 2 % 2].copy()
+        assert perm_results(kernels, p) == by_perms[step // 2 % 2]
+        del p
