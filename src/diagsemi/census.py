@@ -15,6 +15,7 @@ element i at bit i.
 
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -26,23 +27,31 @@ from .kernels import Backend
 
 
 class FeasibilityError(RuntimeError):
-    """The requested census exceeds the configured bounds; no partial
-    counts are ever reported."""
+    """A request exceeds a feasibility bound; no partial counts are ever
+    reported."""
 
 
+# The two feasibility bounds, in elements, that the command line checks
+# against the closed-form order; only the census bound can be overridden.
+# The enumeration bound admits TL_12 (208,012) and refuses TL_13 (742,900).
 DEFAULT_MAX_ELEMENTS = 64
+ENUMERATION_MAX_ELEMENTS = 250_000
 
 _KERNELS = Backend()
 
 
-def check_census_bound(n, max_elements=None):
-    """Refuse an ambient of ``n`` elements over the census bound."""
-    bound = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
+def check_bound(n, bound, kind, what="ambient"):
+    """The one refusal of every bound: ``what`` has ``n`` elements, more
+    than the ``kind`` bound admits."""
     if n > bound:
         raise FeasibilityError(
-            f"ambient has {n} elements, over the census bound of {bound}; "
-            "raise DIAGSEMI_MAX_ELEMENTS to run anyway"
-        )
+            f"{what} has {n} elements, over the {kind} bound of {bound}")
+
+
+def check_census_bound(n, max_elements=None):
+    """Refuse an ambient of ``n`` elements over the census bound."""
+    check_bound(n, DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements,
+                "census")
 
 
 class SymmetryGroup:
@@ -179,6 +188,7 @@ def census_up_to_conjugacy(S, G=None, max_elements=None, jobs=1):
 
     table = S.multiplication_table()
     items = sorted((rep, orbit) for rep, (orbit, _) in groups.items())
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and len(items) > 256:
         _KERNELS.product_tables(table)  # built once here, inherited by the fork
         _POOL_STATE.update(table=table, perm_bits=perm_bits)

@@ -7,7 +7,12 @@
     diagsemi fern <n> <dclass-index> --out FILE
 
 Families: PB B PT T I S P IS Br TL (see README for the notation map).
-DIAGSEMI_MAX_ELEMENTS overrides the feasibility bounds.
+
+Every command compares the closed-form order of its request with a bound
+before it builds generators or enumerates anything: ``census`` with the
+census bound (64 elements, overridden by DIAGSEMI_MAX_ELEMENTS), the
+others with the fixed enumeration bound of 250,000 elements.  ``order``
+then skips its enumeration; ``census``, ``green`` and ``fern`` exit 2.
 
 Exit status is 0 only when every verification the command performs
 reports MATCH.
@@ -23,16 +28,23 @@ from .elements import FAMILY_CODES, FAMILY_NAMES
 from .formulas import family_order
 
 
-def _max_elements(default):
+def _census_bound():
     value = os.environ.get("DIAGSEMI_MAX_ELEMENTS", "").strip()
-    return int(value) if value else default
+    return int(value) if value else census_mod.DEFAULT_MAX_ELEMENTS
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _config_line(args, **extra):
     # jobs is deliberately left out: worker count never changes results,
     # and census outputs must be byte-identical across --jobs values
     fields = {"command": args.command}
-    for key in ("family", "n", "dclass", "mode", "seed"):
+    for key in ("family", "n", "dclass"):
         if hasattr(args, key):
             fields[key] = getattr(args, key)
     fields.update(extra)
@@ -40,32 +52,39 @@ def _config_line(args, **extra):
     return f"diagsemi {body}"
 
 
-def _enumerate(family, n, limit):
+def _enumerate(family, n, bound=census_mod.ENUMERATION_MAX_ELEMENTS,
+               kind="enumeration"):
+    """family_n, or FeasibilityError before any work when its closed-form
+    order is over ``bound``.  The catalog checks that every generator is
+    in the family, so a correct run never passes the closed form and a
+    product fault that does raises LimitExceeded at once."""
+    order = family_order(family, n)
+    census_mod.check_bound(order, bound, kind, what=f"{family}_{n}")
     gens = catalog.standard_generators(family, n)
-    return engine.enumerate_family(gens, limit=limit)
+    return engine.enumerate_family(gens, limit=order)
 
 
 def cmd_order(args):
     expected = family_order(args.family, args.n)
     print(f"{args.family}_{args.n} ({FAMILY_NAMES[args.family]})")
     print(f"closed form: {expected}")
-    limit = _max_elements(100000)
-    if not catalog.supports(args.family, args.n):
+    try:
+        S = _enumerate(args.family, args.n)
+    except census_mod.FeasibilityError:
+        print("enumeration skipped (infeasible: order exceeds "
+              f"{census_mod.ENUMERATION_MAX_ELEMENTS})")
+        return 0
+    except catalog.UnsupportedFamilyDegree:
         print("enumeration skipped (no catalog generating set for this degree)")
         return 0
-    if expected > limit:
-        print(f"enumeration skipped (infeasible: order exceeds {limit})")
-        return 0
-    S = _enumerate(args.family, args.n, limit)
     verdict = "MATCH" if len(S) == expected else "MISMATCH"
     print(f"enumerated:  {len(S)}  {verdict}")
     return 0 if verdict == "MATCH" else 1
 
 
 def cmd_census(args):
-    limit = _max_elements(census_mod.DEFAULT_MAX_ELEMENTS)
-    census_mod.check_census_bound(family_order(args.family, args.n), limit)
-    S = _enumerate(args.family, args.n, None)
+    limit = _census_bound()
+    S = _enumerate(args.family, args.n, limit, "census")
     # backend=python is a fixed field of the census header: existing
     # output files carry it and their digests pin those bytes
     config = _config_line(args, backend="python", ambient=len(S))
@@ -107,8 +126,7 @@ def cmd_census(args):
 
 
 def cmd_green(args):
-    limit = _max_elements(100000)
-    S = _enumerate(args.family, args.n, limit)
+    S = _enumerate(args.family, args.n)
     green = engine.green_structure(S)
     n_d = green.n_d_classes()
     chain = all((green.d_order[i + 1], green.d_order[i]) in green.d_leq
@@ -130,11 +148,7 @@ def cmd_green(args):
 
 
 def cmd_fern(args):
-    cap = _max_elements(12)
-    if args.n > cap:
-        print(f"fern degree {args.n} over the cap of {cap}", file=sys.stderr)
-        return 2
-    S = _enumerate("TL", args.n, None)
+    S = _enumerate("TL", args.n)
     green = engine.green_structure(S)
     if not 0 <= args.dclass < green.n_d_classes():
         print(f"TL_{args.n} has no D-class index {args.dclass}", file=sys.stderr)
@@ -176,7 +190,8 @@ def build_parser():
                       help="fold by the ambient symmetry group (default)")
     p.add_argument("--stats", action="store_true",
                    help="write histogram CSVs and a JSONL record stream")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes, at most the CPU count")
     p.add_argument("--out", default=None, help="output directory for --stats")
     p.set_defaults(func=cmd_census)
 

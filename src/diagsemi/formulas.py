@@ -26,24 +26,25 @@ def catalan(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def stirling2(n: int, k: int) -> int:
-    """Stirling numbers of the second kind, S(n, k) = k S(n-1, k) + S(n-1, k-1).
-
-    S(0, 0) = 1 (the empty partition); S(n, k) = 0 for k > n."""
+def _stirling2_row(n: int) -> tuple:
+    """(S(n, 0), ..., S(n, n)), built row by row from S(0, 0) = 1 with
+    S(m, k) = k S(m-1, k) + S(m-1, k-1), so any degree is in reach."""
     _check_nonneg(n)
+    row = [1]
+    for m in range(1, n + 1):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, m)] + [1]
+    return tuple(row)
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling numbers of the second kind; S(n, k) = 0 for k > n."""
     _check_nonneg(k)
-    if k > n:
-        return 0
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    row = _stirling2_row(n)
+    return row[k] if k <= n else 0
 
 
 def bell(n: int) -> int:
-    _check_nonneg(n)
-    return sum(stirling2(n, k) for k in range(n + 1))
+    return sum(_stirling2_row(n))
 
 
 def double_factorial_odd(n: int) -> int:
@@ -73,7 +74,8 @@ def family_order(family: str, n: int) -> int:
     if family == "PT":
         return (n + 1) ** n
     if family == "IS":
-        return sum(factorial(k) * stirling2(n, k) ** 2 for k in range(1, n + 1))
+        row = _stirling2_row(n)
+        return sum(factorial(k) * row[k] ** 2 for k in range(1, n + 1))
     if family == "T":
         return n**n
     if family == "I":

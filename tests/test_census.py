@@ -188,6 +188,34 @@ def test_census_deterministic_across_jobs():
     assert a == b
 
 
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    requested = []
+
+    class SerialPool:
+        def __init__(self, size):
+            requested.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
+
+    class SerialContext:
+        Pool = SerialPool
+
+    monkeypatch.setattr("multiprocessing.get_context", lambda method: SerialContext)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    S = monoid("T", 3)
+    records, raw = census_up_to_conjugacy(S, jobs=5000)
+    assert requested == [3]
+    assert len(records) == 283
+    assert (records, raw) == census_up_to_conjugacy(S, jobs=1)
+
+
 def test_census_stats_match_brute_force_on_subsemigroups():
     """Per-record D-class/idempotent stats vs brute-force divisibility on
     the restricted multiplication table."""

@@ -123,6 +123,7 @@ def test_fern_bad_dclass(tmp_path, capsys):
 def test_fern_degree_cap(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fern", "13", "1", "--out", tmp_path / "x.pgm")
     assert code == 2
+    assert "TL_13 has 742900 elements, over the enumeration bound of 250000" in err
 
 
 def test_unsupported_family_degree_errors(capsys):
@@ -152,6 +153,61 @@ def test_census_refuses_before_enumerating(capsys, family, n, order):
     code, _, err = run_cli(capsys, "census", family, n)
     assert code == 2 and f"{order} elements" in err and "bound of 64" in err
     assert time.perf_counter() - start < 1.0
+
+
+def _bell_triangle(n):
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
+def test_closed_form_at_any_degree(capsys):
+    code, out, _ = run_cli(capsys, "order", "P", 300)
+    assert code == 0
+    assert f"closed form: {_bell_triangle(600)}\n" in out
+    assert "infeasible" in out
+    code, out, err = run_cli(capsys, "census", "P", 300)
+    assert code == 2 and "over the census bound of 64" in err and not out
+
+
+def test_census_bound_leaves_green_alone(capsys, monkeypatch):
+    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "105")
+    code, out, _ = run_cli(capsys, "green", "P", 4)
+    assert code == 0 and "P_4: 4140 elements" in out
+
+
+def test_census_bound_leaves_order_alone(capsys, monkeypatch):
+    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "200")
+    code, out, _ = run_cli(capsys, "order", "T", 4)
+    assert code == 0 and "enumerated:  256  MATCH" in out
+
+
+def test_census_bound_leaves_fern_alone(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "200")
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "fern", 13, 1, "--out", tmp_path / "x.pgm")
+    assert code == 2 and "742900 elements" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("family,n,order", [("T", 7, 823543), ("P", 6, 4213597)])
+def test_green_refuses_before_enumerating(capsys, family, n, order):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "green", family, n)
+    assert code == 2 and not out
+    assert f"{order} elements" in err and "bound of 250000" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_jobs_must_be_positive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "I", "3", "--jobs", "0"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_console_entrypoint_subprocess():
