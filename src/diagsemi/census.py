@@ -23,6 +23,7 @@ import numpy as np
 
 from .elements import PointPermutation, conjugate, is_nontrivial_permutation
 from .engine import EnumeratedSemigroup
+from .formulas import decimal_string
 from .kernels import Backend
 
 
@@ -45,7 +46,7 @@ def check_bound(n, bound, kind, what="ambient"):
     than the ``kind`` bound admits."""
     if n > bound:
         raise FeasibilityError(
-            f"{what} has {n} elements, over the {kind} bound of {bound}")
+            f"{what} has {decimal_string(n)} elements, over the {kind} bound of {bound}")
 
 
 def check_census_bound(n, max_elements=None):

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import catalog, census as census_mod, engine
 from .elements import FAMILY_CODES, FAMILY_NAMES
-from .formulas import family_order
+from .formulas import decimal_string, family_order
 
 
 def _census_bound():
@@ -67,7 +67,7 @@ def _enumerate(family, n, bound=census_mod.ENUMERATION_MAX_ELEMENTS,
 def cmd_order(args):
     expected = family_order(args.family, args.n)
     print(f"{args.family}_{args.n} ({FAMILY_NAMES[args.family]})")
-    print(f"closed form: {expected}")
+    print(f"closed form: {decimal_string(expected)}")
     try:
         S = _enumerate(args.family, args.n)
     except census_mod.FeasibilityError:

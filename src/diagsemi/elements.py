@@ -312,43 +312,35 @@ class Bipartition:
             return NotImplemented
         _check_degree(self, other)
         n = self.degree
-        # Union-find over 3n stacked points: 0..n-1 upper, n..2n-1 middle
-        # (self's lower row glued to other's upper row), 2n..3n-1 lower.
-        parent = list(range(3 * n))
-
-        def find(x):
+        a, b = self.assignment, other.assignment
+        # Union-find over blocks: self's ids 0..2n-1, other's shifted to
+        # 2n..4n-1, glued where self's lower row meets other's upper row.
+        parent = list(range(4 * n))
+        for x, y in zip(a[n:], b[:n]):
+            y += 2 * n
             while parent[x] != x:
-                parent[x] = parent[parent[x]]
                 x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
-        first_of = {}
-        for p in range(2 * n):
-            bid = self.assignment[p]
-            if bid in first_of:
-                union(first_of[bid], p)
-            else:
-                first_of[bid] = p
-        first_of = {}
-        for p in range(2 * n):
-            bid = other.assignment[p]
-            q = p + n
-            if bid in first_of:
-                union(first_of[bid], q)
-            else:
-                first_of[bid] = q
-
-        assignment = []
-        roots = {}
-        for p in list(range(n)) + list(range(2 * n, 3 * n)):
-            r = find(p)
-            assignment.append(roots.setdefault(r, len(roots)))
-        return Bipartition(n, assignment)
+            while parent[y] != y:
+                y = parent[y]
+            if x != y:
+                parent[y] = x
+        # Upper row from self, lower row from other, each point labelled
+        # by its root in order of first occurrence: already canonical.
+        relabel = {}
+        out = []
+        for x in a[:n]:
+            while parent[x] != x:
+                x = parent[x]
+            out.append(relabel.setdefault(x, len(relabel)))
+        for y in b[n:]:
+            y += 2 * n
+            while parent[y] != y:
+                y = parent[y]
+            out.append(relabel.setdefault(y, len(relabel)))
+        product = object.__new__(Bipartition)
+        product.degree = n
+        product.assignment = tuple(out)
+        return product
 
     def conjugate(self, sigma: PointPermutation) -> "Bipartition":
         if sigma.degree != self.degree:

@@ -1,14 +1,25 @@
 """Enumerate a finite monoid from generators and analyse its structure.
 
-Enumeration is a breadth-first closure: elements are discovered in
-length-lexicographic order of words over the generators, which makes
-element indices, Cayley graphs and every downstream ordering
-deterministic.  Green's classes come from strongly connected components
-of the Cayley graphs; brute-force divisibility versions live in the
-test suite as oracles.
+Enumeration is the Froidure-Pin algorithm (V. Froidure and J.-E. Pin,
+"Algorithms for computing finite semigroups", 1997).  Elements are
+discovered in length-lexicographic order of their words over the
+generators, which makes element indices, Cayley graphs and every
+downstream ordering deterministic.  Each element u other than the
+identity has a word b.w: b its first letter, s the element w spells.
+For a generator a, if w.a is not itself the word of s*a (s*a was first
+reached another way), then u*a = b*(s*a) is read from the Cayley graphs
+already built; only when w.a is a new word is u*a computed by a product.
+The left graph takes no products at all: if u = p*c is the word
+decomposition of u, then g*u = (g*p)*c.  The identity passed in must be
+a two-sided identity of the generators.
+
+Green's classes come from strongly connected components of the Cayley
+graphs; brute-force divisibility versions live in the test suite as
+oracles.
 """
 
 import json
+from array import array
 
 import numpy as np
 
@@ -24,10 +35,16 @@ class LimitExceeded(RuntimeError):
 class EnumeratedSemigroup:
     """A finite monoid given by an element list closed under product.
 
-    elements[0] is always the identity.  ``right[i][g]`` is the index of
-    elements[i] * gens[g], ``left[i][g]`` of gens[g] * elements[i].
-    ``prefix``/``last_gen`` decompose each element's first-discovered
-    word: elements[i] = elements[prefix[i]] * gens[last_gen[i]].
+    elements[0] is the identity passed to ``enumerate_semigroup``, which
+    must be a two-sided identity of the generators; ``identity_adjoined``
+    is true when it is not also a product of generators.  ``right[i, g]`` is
+    the index of elements[i] * gens[g], ``left[i, g]`` of gens[g] *
+    elements[i] (int32 arrays of shape (n, k)).  ``prefix``/``last_gen``
+    (int arrays, -1 at the identity) decompose each element's word, the
+    least one in length-lexicographic order: elements[i] =
+    elements[prefix[i]] * gens[last_gen[i]], and element indices follow
+    the order of these words.  The left graph satisfies
+    ``left[i, g] = right[left[prefix[i], g], last_gen[i]]``.
     """
 
     def __init__(self, elements, index, gens, labels, right, left,
@@ -72,7 +89,12 @@ class EnumeratedSemigroup:
 
 
 def enumerate_semigroup(gens, identity=None, limit=None, labels=None) -> EnumeratedSemigroup:
-    """BFS closure of the generators, identity adjoined as element 0."""
+    """Froidure-Pin closure of the generators, identity adjoined as element 0.
+
+    ``identity`` must be a two-sided identity of the generators (the
+    default, ``identity_like(gens[0])``, is one): row 0 of ``right`` is
+    read off as the generators themselves, without products.
+    """
     gens = list(gens)
     if identity is None:
         if not gens:
@@ -90,37 +112,73 @@ def enumerate_semigroup(gens, identity=None, limit=None, labels=None) -> Enumera
             uniq_gens.append(g)
             uniq_labels.append(labels[k] if labels else f"g{len(uniq_gens) - 1}")
 
+    # Flat row-major (n, k) graphs and per-element words.  first[i] is
+    # the first letter of i's word and suffix[i] the element the rest of
+    # the word spells; the identity has neither.
+    k = len(uniq_gens)
     elements = [identity]
     index = {identity: 0}
-    prefix = [-1]
-    last_gen = [-1]
-    right_rows = []
-    i = 0
-    while i < len(elements):
-        row = []
-        for gi, g in enumerate(uniq_gens):
-            y = elements[i] * g
-            j = index.get(y)
-            if j is None:
-                j = len(elements)
-                if limit is not None and j >= limit:
-                    raise LimitExceeded(limit)
-                index[y] = j
-                elements.append(y)
-                prefix.append(i)
-                last_gen.append(gi)
-            row.append(j)
-        right_rows.append(row)
+    prefix, last_gen = array("i", [-1]), array("i", [-1])
+    first, suffix = array("i", [-1]), array("i", [-1])
+    right, left = array("i"), array("i")
+    for b, g in enumerate(uniq_gens):
+        if limit is not None and b + 1 >= limit:
+            raise LimitExceeded(limit)
+        index[g] = b + 1
+        elements.append(g)
+        prefix.append(0)
+        last_gen.append(b)
+        first.append(b)
+        suffix.append(0)
+        right.append(b + 1)
+    left.extend(right)
+
+    # Elements are processed in index order, which is the length-
+    # lexicographic order of their words; level_end is the first element
+    # longer than element i.  Left rows of a level are built as soon as
+    # the right rows of that level are done.
+    built = 1  # left rows exist for elements [0, built)
+    level_end = len(elements)
+    i = 1
+    while True:
+        if i == level_end:
+            for j in range(built, i):
+                p, c = prefix[j] * k, last_gen[j]
+                for g in range(k):
+                    left.append(right[left[p + g] * k + c])
+            built = i
+            level_end = len(elements)
+            if i == level_end:
+                break
+        u, b, s = elements[i], first[i], suffix[i]
+        for a in range(k):
+            r = right[s * k + a]
+            if prefix[r] == s and last_gen[r] == a:
+                # s*a is a new word: the only case that needs a product
+                y = u * uniq_gens[a]
+                j = index.get(y)
+                if j is None:
+                    j = len(elements)
+                    if limit is not None and j >= limit:
+                        raise LimitExceeded(limit)
+                    index[y] = j
+                    elements.append(y)
+                    prefix.append(i)
+                    last_gen.append(a)
+                    first.append(b)
+                    suffix.append(r)
+            elif r == 0:
+                j = b + 1  # u*a = b * (s*a) = b
+            else:
+                # u*a = b*prefix[r]*last_gen[r]; b*prefix[r] is shorter
+                # than u, or u itself when last_gen[r] < a
+                j = right[left[prefix[r] * k + b] * k + last_gen[r]]
+            right.append(j)
         i += 1
 
     n = len(elements)
-    k = len(uniq_gens)
-    right = np.array(right_rows, dtype=np.int32).reshape(n, k)
-    left = np.empty((n, k), dtype=np.int32)
-    for gi, g in enumerate(uniq_gens):
-        for i in range(n):
-            left[i, gi] = index[g * elements[i]]
-
+    right = np.frombuffer(right, dtype=np.int32).reshape(n, k)
+    left = np.frombuffer(left, dtype=np.int32).reshape(n, k)
     # row 0 maps the identity to the generators themselves, so the identity
     # is a nonempty product iff it appears as a target from some other row
     adjoined = not bool((right[1:] == 0).any())

@@ -56,6 +56,22 @@ def double_factorial_odd(n: int) -> int:
     return out
 
 
+# Python refuses str() of an int past 4300 digits; chunks stay below that.
+_DECIMAL_CHUNK_DIGITS = 4000
+
+
+def decimal_string(n: int) -> str:
+    """Exact decimal digits of a nonnegative int of any size, converted in
+    chunks of 4000 digits so the interpreter-wide limit never applies."""
+    base = 10**_DECIMAL_CHUNK_DIGITS
+    chunks = []
+    while n >= base:
+        n, low = divmod(n, base)
+        chunks.append(str(low).zfill(_DECIMAL_CHUNK_DIGITS))
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 def _check_nonneg(n):
     if n < 0:
         raise ValueError(f"argument must be nonnegative, got {n}")

@@ -1,3 +1,4 @@
+import decimal
 import json
 import subprocess
 import sys
@@ -114,6 +115,14 @@ def test_fern_pgm(tmp_path, capsys):
     assert lines[2] == "20 20"
 
 
+@pytest.mark.stretch
+def test_fern_tl12_stretch(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "fern", 12, 5, "--out", tmp_path / "fern.pgm")
+    assert code == 0
+    assert ("TL_12 D[5]: 297x297 bitmap, 55319 idempotent cells "
+            "(brute-force 55319, MATCH)") in out
+
+
 def test_fern_bad_dclass(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fern", "4", "9", "--out", tmp_path / "x.pgm")
     assert code == 2
@@ -172,6 +181,24 @@ def test_closed_form_at_any_degree(capsys):
     assert "infeasible" in out
     code, out, err = run_cli(capsys, "census", "P", 300)
     assert code == 2 and "over the census bound of 64" in err and not out
+
+
+def _digits(n):
+    # decimal's own conversion, not bounded by the int-to-str digit limit
+    return str(decimal.Context(prec=decimal.MAX_PREC).create_decimal(n))
+
+
+def test_order_prints_closed_form_past_4300_digits(capsys):
+    code, out, _ = run_cli(capsys, "order", "PB", 60)
+    digits = _digits(1 << 14400)
+    assert len(digits) == 4335
+    assert code == 0 and f"closed form: {digits}\n" in out and "skipped" in out
+
+
+def test_census_refuses_past_4300_digits(capsys):
+    code, out, err = run_cli(capsys, "census", "PB", 60)
+    assert code == 2 and not out
+    assert f"PB_60 has {_digits(1 << 14400)} elements, over the census bound of 64" in err
 
 
 def test_census_bound_leaves_green_alone(capsys, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diagsemi.catalog import standard_generators
-from diagsemi.elements import MapElement
+from diagsemi.elements import Bipartition, MapElement
 from diagsemi.engine import (
     LimitExceeded,
     ReesZero,
@@ -61,6 +61,42 @@ def test_enumeration_is_deterministic():
     assert a.elements == b.elements
     assert np.array_equal(a.right, b.right)
     assert np.array_equal(a.left, b.left)
+
+
+def _t3_mod_rank_two():
+    S = monoid("T", 3)
+    return rees_quotient(S, next(i for i in ideals_of(S) if len(i) == 21))
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda f=f, n=n: monoid(f, n), id=f"{f}-{n}")
+      for f, n in ORACLE_SUITE),
+    pytest.param(_t3_mod_rank_two, id="T-3-mod-rank-2"),
+])
+def test_cayley_graphs_and_words_match_products(build):
+    S = build()
+    elements, gens = S.elements, S.gens
+    for i, x in enumerate(elements):
+        for g, y in enumerate(gens):
+            assert elements[S.right[i, g]] == x * y
+            assert elements[S.left[i, g]] == y * x
+        if i:
+            assert x == elements[S.prefix[i]] * gens[S.last_gen[i]]
+
+
+def test_enumeration_uses_few_products(monkeypatch):
+    gens = standard_generators("TL", 7)
+    calls = []
+    product = Bipartition.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return product(a, b)
+
+    monkeypatch.setattr(Bipartition, "__mul__", counted)
+    S = enumerate_family(gens)
+    assert len(S) == 429
+    assert len(calls) <= 2 * len(S)
 
 
 def test_mixed_degrees_rejected():

@@ -5,6 +5,7 @@ import pytest
 
 from diagsemi.elements import (
     FAMILY_CODES,
+    Bipartition,
     PointPermutation,
     all_pbrs,
     bipartition_from_pbr,
@@ -69,12 +70,26 @@ def test_bipartition_product_matches_pbr_product_exhaustive_p2(get_monoid):
         assert a * b == via_pbr
 
 
+def _first_occurrence_order(assignment):
+    seen = []
+    for bid in assignment:
+        if bid not in seen:
+            seen.append(bid)
+    return seen == list(range(len(seen)))
+
+
 def test_bipartition_product_matches_pbr_product_sampled_p3():
     rng = random.Random(2024)
-    for _ in range(10000):
-        a = random_element("P", 3, rng)
-        b = random_element("P", 3, rng)
-        assert a * b == bipartition_from_pbr(a.to_pbr() * b.to_pbr())
+    for family, n in (("P", 3), ("Br", 4)):
+        for _ in range(10000):
+            a = random_element(family, n, rng)
+            b = random_element(family, n, rng)
+            ab = a * b
+            assert ab == bipartition_from_pbr(a.to_pbr() * b.to_pbr())
+            # the product is built canonical, as the validating constructor would
+            rebuilt = Bipartition(n, ab.assignment)
+            assert ab == rebuilt and hash(ab) == hash(rebuilt)
+            assert _first_occurrence_order(ab.assignment)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
