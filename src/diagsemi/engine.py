@@ -13,11 +13,16 @@ The left graph takes no products at all: if u = p*c is the word
 decomposition of u, then g*u = (g*p)*c.  The identity passed in must be
 a two-sided identity of the generators.
 
-Green's classes come from strongly connected components of the Cayley
-graphs; brute-force divisibility versions live in the test suite as
-oracles.
+Green's classes come from two SCC passes (Tarjan), over the flat right
+and left Cayley graphs: R- and L-classes are their components and D is
+their join.  D = J is checked rather than computed: each D-class is
+strongly connected in the two-sided graph, so the two agree exactly
+when the quotient graph of D-classes, the graph the D-order is read
+from, is acyclic.  Brute-force divisibility versions live in the test
+suite as oracles.
 """
 
+import heapq
 import json
 from array import array
 
@@ -195,71 +200,72 @@ def enumerate_family(genset, limit=None) -> EnumeratedSemigroup:
 # Green's structure
 
 
-def _scc(n, out_edges):
-    """Iterative Tarjan; returns (component id per node, component count).
-    Component ids are renumbered by smallest member node."""
-    UNVISITED = -1
-    ids = [UNVISITED] * n
+def _scc(graph):
+    """Strongly connected components of a Cayley graph, by iterative
+    Tarjan; ``graph`` is an (n, k) int32 array whose row v lists the
+    out-edges of node v.  Returns component ids, numbered by smallest
+    member node."""
+    n, k = graph.shape
+    # edge ptr of node v is out[v*k + ptr]; reading the flat buffer hands
+    # back python ints, where numpy rows hand back numpy scalars
+    out = memoryview(np.ascontiguousarray(graph, dtype=np.int32).reshape(-1))
+    num = [-1] * n  # preorder number, -1 while unvisited
     low = [0] * n
-    on_stack = [False] * n
+    comp = [-1] * n  # root of its component; -1 while unvisited or on the stack
     stack = []
-    comp = [UNVISITED] * n
+    path, work = [], []  # open nodes and the position in ``out`` of their next edge
     counter = 0
-    n_comps = 0
     for root in range(n):
-        if ids[root] != UNVISITED:
+        if num[root] >= 0:
             continue
-        work = [(root, 0)]
+        num[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        path.append(root)
+        work.append(root * k)
         while work:
-            node, ptr = work[-1]
-            if ptr == 0:
-                ids[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            edges = out_edges(node)
-            while ptr < len(edges):
-                nxt = edges[ptr]
-                ptr += 1
-                if ids[nxt] == UNVISITED:
-                    work[-1] = (node, ptr)
-                    work.append((nxt, 0))
-                    advanced = True
+            node, pos = path[-1], work[-1]
+            end = node * k + k
+            while pos < end:
+                nxt = out[pos]
+                pos += 1
+                if num[nxt] < 0:
+                    work[-1] = pos
+                    num[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    path.append(nxt)
+                    work.append(nxt * k)
                     break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], ids[nxt])
-            if advanced:
-                continue
-            if low[node] == ids[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comps
-                    if w == node:
-                        break
-                n_comps += 1
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if comp[nxt] < 0 and num[nxt] < low[node]:
+                    low[node] = num[nxt]
+            else:
+                path.pop()
+                work.pop()
+                if low[node] == num[node]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = node
+                        if w == node:
+                            break
+                if path:
+                    parent = path[-1]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
 
-    # renumber so class id = rank of smallest member element
-    first = {}
-    for v in range(n):
-        first.setdefault(comp[v], v)
-    order = sorted(first, key=first.get)
-    relabel = {old: new for new, old in enumerate(order)}
-    return [relabel[c] for c in comp], n_comps
+    relabel = {}  # root -> rank of the component's smallest member
+    for c in comp:
+        relabel.setdefault(c, len(relabel))
+    return [relabel[c] for c in comp]
 
 
 class GreenStructure:
     """R/L/D class ids per element plus the D-class order.
 
-    D-classes are listed in ``d_order`` from the top down (the
-    identity's class first, then a deterministic linear extension of
-    reverse ideal containment), so "D-class index k" below means the
-    k-th entry of that list.
+    Class ids are numbered by smallest member element.  D-classes are
+    listed in ``d_order`` from the top down (the identity's class first,
+    then a deterministic linear extension of reverse ideal containment),
+    so "D-class index k" below means the k-th entry of that list.
     """
 
     def __init__(self, S, r_class, l_class, d_class, d_order, d_leq):
@@ -269,13 +275,16 @@ class GreenStructure:
         self.d_class = d_class
         self.d_order = d_order
         self.d_leq = d_leq  # set of pairs (a, b) with D_a below-or-equal D_b
+        # member indices per D-class id, in index order
+        self._members = np.split(np.argsort(d_class, kind="stable"),
+                                 np.cumsum(np.bincount(d_class))[:-1])
         self._eggboxes = {}  # position -> Eggbox, filled by eggbox()
 
     def n_d_classes(self):
         return len(self.d_order)
 
     def d_class_elements(self, d_id):
-        return [i for i, d in enumerate(self.d_class) if d == d_id]
+        return self._members[d_id].tolist()
 
     def d_id_at(self, position):
         return self.d_order[position]
@@ -292,7 +301,7 @@ class GreenStructure:
                 "rows": len(box.row_classes),
                 "cols": len(box.col_classes),
                 "idempotents": int(box.idempotent_mask.sum()),
-                "size": len(self.d_class_elements(self.d_order[pos])),
+                "size": len(self._members[self.d_order[pos]]),
             })
         return {
             "size": len(self.S),
@@ -305,86 +314,79 @@ class GreenStructure:
 
 
 def green_structure(S: EnumeratedSemigroup) -> GreenStructure:
-    n = len(S)
     right, left = S.right, S.left
-    k = right.shape[1]
+    r_class = _scc(right)
+    l_class = _scc(left)
+    r = np.array(r_class, dtype=np.int32)
+    l = np.array(l_class, dtype=np.int32)
 
-    r_class, _ = _scc(n, lambda v: right[v])
-    l_class, _ = _scc(n, lambda v: left[v])
+    # D = join of R and L: each element labelled by the least R-class id
+    # its D-class has reached so far, spread through L- and R-classes
+    # until it is stable (twice, as every R-class of a D-class meets
+    # every L-class).  The least R-class holds the smallest member, so
+    # ranking the labels numbers D-classes by smallest member too.
+    n = len(r_class)
+    label = r
+    while True:
+        via_l = np.full(max(l_class) + 1, n, dtype=np.int32)
+        np.minimum.at(via_l, l, label)
+        via_r = np.full(max(r_class) + 1, n, dtype=np.int32)
+        np.minimum.at(via_r, r, via_l[l])
+        spread = via_r[r]
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    _, d_of_r = np.unique(via_r, return_inverse=True)
+    d = d_of_r.astype(np.int32)[r]
+    d_ids = d_of_r.tolist()
+    d_class = [d_ids[c] for c in r_class]  # shares one int object per class
+    n_d = max(d_ids) + 1
 
-    # D = join of R and L
-    parent = list(range(n))
+    # One multiplication step leaving D_a lands strictly below it.  Each
+    # D-class is strongly connected in the two-sided Cayley graph, so J
+    # = D exactly when this quotient graph of D-classes has no cycle.
+    # One generator at a time keeps the arrays at n entries.
+    steps = set()  # edge a -> b as a * n_d + b
+    for graph in (right, left):
+        for column in graph.T:
+            target = d[column]
+            leaves = target != d
+            codes = np.sort(d[leaves] * np.int64(n_d) + target[leaves])
+            steps.update(codes[np.diff(codes, prepend=-1) != 0].tolist())
+    below = [[] for _ in range(n_d)]  # direct successors
+    n_above = [0] * n_d
+    for step in steps:
+        a, b = divmod(step, n_d)
+        below[a].append(b)
+        n_above[b] += 1
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    firsts = {}
-    for cls in (r_class, l_class):
-        firsts.clear()
-        for v in range(n):
-            c = cls[v]
-            if c in firsts:
-                ra, rb = find(firsts[c]), find(v)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-            else:
-                firsts[c] = v
-    relabel = {}
-    d_class = []
-    for v in range(n):
-        d_class.append(relabel.setdefault(find(v), len(relabel)))
-
-    # J from the two-sided Cayley graph; must agree with D on a finite
-    # semigroup -- checked, because it exercises both constructions.
-    both = np.concatenate([right, left], axis=1)
-    j_class, _ = _scc(n, lambda v: both[v])
-    if j_class != d_class:
+    # top-down order: among the classes with no class left above them,
+    # the least id, i.e. the one whose first element comes first
+    ready = [a for a in range(n_d) if n_above[a] == 0]
+    d_order = []
+    while ready:
+        a = heapq.heappop(ready)
+        d_order.append(a)
+        for b in below[a]:
+            n_above[b] -= 1
+            if n_above[b] == 0:
+                heapq.heappush(ready, b)
+    if len(d_order) < n_d:
         raise AssertionError("D and J partitions disagree; enumeration is corrupt")
 
-    n_d = len(relabel)
-    # One multiplication step leaving D_a lands strictly below it; close
-    # transitively to get the ideal-containment order.
-    step_down = [set() for _ in range(n_d)]
-    for v in range(n):
-        dv = d_class[v]
-        for g in range(k):
-            for w in (int(right[v, g]), int(left[v, g])):
-                if d_class[w] != dv:
-                    step_down[dv].add(d_class[w])
-    reaches = [set(s) for s in step_down]  # reaches[a] = classes strictly below a
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n_d):
-            extra = set()
-            for b in reaches[a]:
-                extra |= reaches[b] - reaches[a]
-            if extra:
-                reaches[a] |= extra
-                changed = True
-
-    # top-down order: the identity's class first, ties by first element
-    first_elem = [min(i for i in range(n) if d_class[i] == d) for d in range(n_d)]
-    remaining = set(range(n_d))
-    d_order = []
-    while remaining:
-        ready = [d for d in remaining
-                 if not any(e != d and d in reaches[e] for e in remaining)]
-        ready.sort(key=lambda d: first_elem[d])
-        d_order.append(ready[0])
-        remaining.remove(ready[0])
-
+    reaches = [set() for _ in range(n_d)]  # reaches[a] = classes strictly below a
+    for a in reversed(d_order):
+        for b in below[a]:
+            reaches[a].add(b)
+            reaches[a] |= reaches[b]
     leq = {(a, b) for b in range(n_d) for a in reaches[b]} | {(a, a) for a in range(n_d)}
     return GreenStructure(S, r_class, l_class, d_class, d_order, leq)
 
 
 class Eggbox:
     def __init__(self, row_classes, col_classes, cells, idempotent_mask):
-        self.row_classes = row_classes  # R-class ids, discovery order
-        self.col_classes = col_classes  # L-class ids, discovery order
+        self.row_classes = row_classes  # R-class ids, by smallest member
+        self.col_classes = col_classes  # L-class ids, by smallest member
         self.cells = cells  # cells[r][c] = list of element indices (an H-class)
         self.idempotent_mask = idempotent_mask  # bool array rows x cols
 
@@ -401,27 +403,24 @@ def eggbox(green, position: int) -> Eggbox:
         raise ValueError(f"no D-class at position {position}")
     if position in green._eggboxes:
         return green._eggboxes[position]
-    d_id = green.d_order[position]
-    S = green.S
-    members = green.d_class_elements(d_id)
-    rows = sorted({green.r_class[i] for i in members},
-                  key=lambda c: min(i for i in members if green.r_class[i] == c))
-    cols = sorted({green.l_class[i] for i in members},
-                  key=lambda c: min(i for i in members if green.l_class[i] == c))
-    rpos = {c: k for k, c in enumerate(rows)}
-    cpos = {c: k for k, c in enumerate(cols)}
-    cells = [[[] for _ in cols] for _ in rows]
+    members = green.d_class_elements(green.d_order[position])
+    r_class, l_class, elements = green.r_class, green.l_class, green.S.elements
+    # members are in index order, so first occurrence is smallest member
+    rpos, cpos = {}, {}
     for i in members:
-        cells[rpos[green.r_class[i]]][cpos[green.l_class[i]]].append(i)
-    idem = np.zeros((len(rows), len(cols)), dtype=bool)
-    for r in range(len(rows)):
-        for c in range(len(cols)):
-            for i in cells[r][c]:
-                x = S.elements[i]
-                if x * x == x:
-                    idem[r, c] = True
-                    break
-    box = green._eggboxes[position] = Eggbox(rows, cols, cells, idem)
+        rpos.setdefault(r_class[i], len(rpos))
+        cpos.setdefault(l_class[i], len(cpos))
+    width = len(cpos)
+    cells = [[[] for _ in cpos] for _ in rpos]
+    idem = [False] * (len(rpos) * width)
+    for i in members:
+        r, c = rpos[r_class[i]], cpos[l_class[i]]
+        cells[r][c].append(i)
+        if not idem[r * width + c]:
+            x = elements[i]
+            idem[r * width + c] = x * x == x
+    mask = np.array(idem, dtype=bool).reshape(len(rpos), width)
+    box = green._eggboxes[position] = Eggbox(list(rpos), list(cpos), cells, mask)
     return box
 
 

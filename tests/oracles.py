@@ -103,6 +103,13 @@ def brute_d_classes(table):
     return _partition_key([find(i) for i in range(n)])
 
 
+def _two_sided_ideal(table, s):
+    """S^1 s S^1, as S^1 s together with (S^1 s) S, read off the full table."""
+    us = set(int(v) for v in table[:, s])
+    us.add(s)
+    return frozenset(int(v) for v in np.unique(table[sorted(us), :])) | us
+
+
 def brute_j_classes(table):
     """t J s iff S^1 t S^1 = S^1 s S^1, ideals read off the full table.
 
@@ -114,13 +121,23 @@ def brute_j_classes(table):
     classes = [None] * n
     for s in range(n):
         if r[s] not in rep_ideal:
-            us = set(int(v) for v in table[:, s])
-            us.add(s)
-            rows = table[sorted(us), :]
-            ideal = frozenset(int(v) for v in np.unique(rows)) | us
-            rep_ideal[r[s]] = ideal
+            rep_ideal[r[s]] = _two_sided_ideal(table, s)
         classes[s] = rep_ideal[r[s]]
     return _partition_key(classes)
+
+
+def brute_d_leq(table):
+    """Pairs (a, b) of D-classes with S^1 a S^1 inside S^1 b S^1.
+
+    Classes are numbered by smallest member, as ``brute_d_classes``
+    numbers them; each ideal is read off the table at that member."""
+    d = brute_d_classes(table)
+    firsts = {}
+    for s in range(len(table)):
+        firsts.setdefault(d[s], s)
+    ideals = [_two_sided_ideal(table, firsts[c]) for c in range(len(firsts))]
+    return {(a, b) for a, ia in enumerate(ideals) for b, ib in enumerate(ideals)
+            if ia <= ib}
 
 
 def brute_idempotents(elements):

@@ -123,6 +123,14 @@ def test_fern_tl12_stretch(tmp_path, capsys):
             "(brute-force 55319, MATCH)") in out
 
 
+@pytest.mark.stretch
+def test_green_tl12_stretch(capsys):
+    code, out, _ = run_cli(capsys, "green", "TL", 12)
+    assert code == 0
+    assert "TL_12: 208012 elements, 7 D-classes (linearly ordered)" in out
+    assert "D[5]: 88209 elements, eggbox 297x297, 55319 idempotent cells" in out
+
+
 def test_fern_bad_dclass(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fern", "4", "9", "--out", tmp_path / "x.pgm")
     assert code == 2

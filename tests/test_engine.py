@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from diagsemi.elements import Bipartition, MapElement
 from diagsemi.engine import (
     LimitExceeded,
     ReesZero,
+    _scc,
     enumerate_family,
     enumerate_semigroup,
     green_structure,
@@ -19,6 +22,7 @@ from diagsemi.engine import (
 from .conftest import monoid
 from .oracles import (
     brute_d_classes,
+    brute_d_leq,
     brute_idempotents,
     brute_j_classes,
     brute_l_classes,
@@ -122,10 +126,43 @@ def test_green_classes_match_brute_force_divisibility(family, n):
     S = monoid(family, n)
     green = green_structure(S)
     table = S.multiplication_table()
-    assert _partition_key(green.r_class) == brute_r_classes(table)
-    assert _partition_key(green.l_class) == brute_l_classes(table)
-    assert _partition_key(green.d_class) == brute_d_classes(table)
-    assert _partition_key(green.d_class) == brute_j_classes(table)
+    # the brute partitions number their classes by smallest member, as
+    # the class ids must be
+    r, l, d = brute_r_classes(table), brute_l_classes(table), brute_d_classes(table)
+    assert tuple(green.r_class) == r
+    assert tuple(green.l_class) == l
+    assert tuple(green.d_class) == d == brute_j_classes(table)
+    assert green.d_leq == brute_d_leq(table)
+    order = green.d_order
+    assert sorted(order) == list(range(len(order))) and order[0] == d[0]
+    assert not any((order[i], order[j]) in green.d_leq
+                   for i in range(len(order)) for j in range(i + 1, len(order)))
+    for pos, d_id in enumerate(order):
+        members = [i for i in range(len(S)) if d[i] == d_id]
+        box = green.eggbox(pos)
+        assert box.row_classes == list(dict.fromkeys(r[i] for i in members))
+        assert box.col_classes == list(dict.fromkeys(l[i] for i in members))
+
+
+@pytest.mark.parametrize("family,n,x,y", [("I", 3, 3, 24), ("TL", 4, 1, 11)])
+def test_green_structure_rejects_a_cycle_of_d_classes(family, n, x, y):
+    """A corrupt right edge y -> x, from below D_x back up into it: R, L
+    and D stay the same, but D_x and D_y become one J-class."""
+    S = monoid(family, n)
+    green = green_structure(S)
+    dx, dy = green.d_class[x], green.d_class[y]
+    assert dx not in (green.d_order[0], dy) and (dy, dx) in green.d_leq
+    reached, frontier = {x}, [x]  # xS, the monoids holding the identity
+    while frontier:
+        frontier = [int(w) for v in frontier for w in S.right[v] if int(w) not in reached]
+        reached.update(frontier)
+    assert y not in reached
+    bad = copy.copy(S)
+    bad.right = S.right.copy()
+    bad.right[y, 0] = x
+    assert _scc(bad.right) == green.r_class
+    with pytest.raises(AssertionError):
+        green_structure(bad)
 
 
 def test_d_equals_j_on_tl8():
