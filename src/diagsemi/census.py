@@ -37,6 +37,8 @@ class FeasibilityError(RuntimeError):
 # The enumeration bound admits TL_12 (208,012) and refuses TL_13 (742,900).
 DEFAULT_MAX_ELEMENTS = 64
 ENUMERATION_MAX_ELEMENTS = 250_000
+# The symmetry group is found by trying all n! point permutations.
+SYMMETRY_MAX_DEGREE = 8
 
 _KERNELS = Backend()
 
@@ -67,13 +69,13 @@ class SymmetryGroup:
         return len(self.perms)
 
 
-def symmetry_group(S: EnumeratedSemigroup, max_degree=8) -> SymmetryGroup:
+def symmetry_group(S: EnumeratedSemigroup) -> SymmetryGroup:
     n = S.degree
     if n is None:
         raise ValueError("ambient semigroup has no diagram degree")
-    if n > max_degree:
+    if n > SYMMETRY_MAX_DEGREE:
         raise FeasibilityError(
-            f"symmetry filtering over S_{n} refused (bound {max_degree})"
+            f"symmetry filtering over S_{n} refused (bound {SYMMETRY_MAX_DEGREE})"
         )
     kept, rows = [], []
     for image in permutations(range(n)):
@@ -207,12 +209,10 @@ def subgroup_census(S, G=None, max_elements=None, jobs=1):
     Every nonempty closed subset of a finite group is a subgroup, so
     this is the subsemigroup census with the empty set dropped (the one
     row of the published table that excludes it)."""
-    n = len(S)
-    check_census_bound(n, max_elements)
+    check_census_bound(len(S), max_elements)
     table = S.multiplication_table()
-    inverse_ok = all(any(int(table[x, y]) == 0 and int(table[y, x]) == 0
-                         for y in range(n)) for x in range(n))
-    if not inverse_ok:
+    # every element needs a two-sided inverse: a y with xy = yx = 1
+    if not ((table == 0) & (table.T == 0)).any(axis=1).all():
         raise ValueError("ambient is not a group")
     records, _ = census_up_to_conjugacy(S, G=G, max_elements=max_elements,
                                         jobs=jobs)

@@ -20,6 +20,10 @@ strongly connected in the two-sided graph, so the two agree exactly
 when the quotient graph of D-classes, the graph the D-order is read
 from, is acyclic.  Brute-force divisibility versions live in the test
 suite as oracles.
+
+As J = D, a principal ideal S^1 s S^1 is the union of the D-classes at
+or below D_s: it is read off the D-order, not searched for (J. East et
+al., "Computing finite semigroups", 2019).
 """
 
 import heapq
@@ -52,12 +56,11 @@ class EnumeratedSemigroup:
     ``left[i, g] = right[left[prefix[i], g], last_gen[i]]``.
     """
 
-    def __init__(self, elements, index, gens, labels, right, left,
+    def __init__(self, elements, index, gens, right, left,
                  prefix, last_gen, identity_adjoined):
         self.elements = elements
         self.index = index
         self.gens = gens
-        self.gen_labels = labels
         self.right = right
         self.left = left
         self.prefix = prefix
@@ -72,14 +75,6 @@ class EnumeratedSemigroup:
     def degree(self):
         return getattr(self.elements[0], "degree", None)
 
-    def word_for(self, i):
-        """First-discovered generator word for element i (list of gen indices)."""
-        word = []
-        while i != 0:
-            word.append(self.last_gen[i])
-            i = self.prefix[i]
-        return word[::-1]
-
     def multiplication_table(self) -> np.ndarray:
         """Full N x N index table, built column by column from the word
         decomposition (table[x][y*g] = right[table[x][y]][g])."""
@@ -93,7 +88,7 @@ class EnumeratedSemigroup:
         return self._table
 
 
-def enumerate_semigroup(gens, identity=None, limit=None, labels=None) -> EnumeratedSemigroup:
+def enumerate_semigroup(gens, identity=None, limit=None) -> EnumeratedSemigroup:
     """Froidure-Pin closure of the generators, identity adjoined as element 0.
 
     ``identity`` must be a two-sided identity of the generators (the
@@ -109,13 +104,7 @@ def enumerate_semigroup(gens, identity=None, limit=None, labels=None) -> Enumera
     if len(degrees) > 1:
         raise ValueError(f"mixed degrees in generating set: {sorted(map(str, degrees))}")
 
-    uniq_gens, uniq_labels = [], []
-    seen_gens = set()
-    for k, g in enumerate(gens):
-        if g not in seen_gens and g != identity:
-            seen_gens.add(g)
-            uniq_gens.append(g)
-            uniq_labels.append(labels[k] if labels else f"g{len(uniq_gens) - 1}")
+    uniq_gens = [g for g in dict.fromkeys(gens) if g != identity]
 
     # Flat row-major (n, k) graphs and per-element words.  first[i] is
     # the first letter of i's word and suffix[i] the element the rest of
@@ -187,13 +176,13 @@ def enumerate_semigroup(gens, identity=None, limit=None, labels=None) -> Enumera
     # row 0 maps the identity to the generators themselves, so the identity
     # is a nonempty product iff it appears as a target from some other row
     adjoined = not bool((right[1:] == 0).any())
-    return EnumeratedSemigroup(elements, index, uniq_gens, tuple(uniq_labels),
-                               right, left, prefix, last_gen, adjoined)
+    return EnumeratedSemigroup(elements, index, uniq_gens, right, left,
+                               prefix, last_gen, adjoined)
 
 
 def enumerate_family(genset, limit=None) -> EnumeratedSemigroup:
     return enumerate_semigroup(list(genset.elements), identity=genset.identity,
-                               limit=limit, labels=list(genset.labels))
+                               limit=limit)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +274,6 @@ class GreenStructure:
 
     def d_class_elements(self, d_id):
         return self._members[d_id].tolist()
-
-    def d_id_at(self, position):
-        return self.d_order[position]
 
     def eggbox(self, position):
         return eggbox(self, position)
@@ -394,11 +380,8 @@ class Eggbox:
 def eggbox(green, position: int) -> Eggbox:
     """The eggbox grid of the D-class at the given position of d_order.
 
-    Accepts a GreenStructure or an EnumeratedSemigroup (recomputing the
-    structure in the latter case).  A structure builds each of its
-    eggboxes once and returns the same box on later calls."""
-    if isinstance(green, EnumeratedSemigroup):
-        green = green_structure(green)
+    A structure builds each of its eggboxes once and returns the same box
+    on later calls."""
     if not 0 <= position < len(green.d_order):
         raise ValueError(f"no D-class at position {position}")
     if position in green._eggboxes:
@@ -433,33 +416,26 @@ def idempotents(S: EnumeratedSemigroup):
 
 
 def principal_ideals(S: EnumeratedSemigroup):
-    """The distinct principal two-sided ideals, as sorted index tuples."""
-    n = len(S)
-    k = S.right.shape[1]
-    out = set()
-    for s in range(n):
-        seen = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for g in range(k):
-                for w in (int(S.right[x, g]), int(S.left[x, g])):
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        out.add(tuple(sorted(seen)))
-    return sorted(out, key=lambda t: (len(t), t))
+    """The distinct principal two-sided ideals, as sorted index tuples:
+    one per D-class, the members of every D-class at or below it."""
+    green = green_structure(S)
+    below = [[] for _ in green.d_order]
+    for a, b in green.d_leq:
+        below[b].append(a)
+    ideals = [tuple(sorted(i for a in classes for i in green.d_class_elements(a)))
+              for classes in below]
+    return sorted(ideals, key=lambda t: (len(t), t))
 
 
 def is_ideal(S: EnumeratedSemigroup, indices) -> bool:
-    idx = set(indices)
-    if not idx:
+    """Whether the nonempty index set is closed under multiplying by the
+    generators on either side."""
+    idx = np.fromiter(indices, dtype=np.intp)
+    if not idx.size:
         return False
-    for x in idx:
-        for g in range(S.right.shape[1]):
-            if int(S.right[x, g]) not in idx or int(S.left[x, g]) not in idx:
-                return False
-    return True
+    member = np.zeros(len(S), dtype=bool)
+    member[idx] = True
+    return bool(member[S.right[idx]].all() and member[S.left[idx]].all())
 
 
 def ideals_of(S: EnumeratedSemigroup, max_count=100000):

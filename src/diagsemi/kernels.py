@@ -27,6 +27,8 @@ a fork lets the pool's children inherit them.
 from functools import reduce
 from operator import getitem, or_
 
+from .elements import bit_indices
+
 # Read by the benchmark's host record; no kernel here is JIT-compiled.
 numba = None
 
@@ -67,13 +69,6 @@ def _image_tables(rows):
                            for y in range(n)])
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _closure(products, mask, first):
     """Closure of the closed set ``mask`` after adjoining element ``first``;
     the nibbles of the closed set grow along with it."""
@@ -84,7 +79,7 @@ def _closure(products, mask, first):
         new = _lookup(products[stack.pop()], nib) & ~m
         if new:
             m |= new
-            for p in _bits(new):
+            for p in bit_indices(new):
                 nib[p >> 2] |= 1 << (p & 3)
                 stack.append(p)
     return m
@@ -128,15 +123,15 @@ class Backend:
         return min(images), len(images)
 
     def count_idempotents(self, table, mask):
-        return sum(1 for i in _bits(mask) if int(table[i, i]) == i)
+        return sum(1 for i in bit_indices(mask) if int(table[i, i]) == i)
 
     def count_dclasses(self, table, mask):
         """Number of D-classes of the subsemigroup ``mask``: its distinct
         principal two-sided ideals."""
         products = self.product_tables(table)
         nib = _nibbles(mask, len(products[0]))
-        succ = {x: _lookup(products[x], nib) for x in _bits(mask)}
+        succ = {x: _lookup(products[x], nib) for x in bit_indices(mask)}
         # the ideal of t is {t} | tT | Tt | TtT, and TtT = T(tT) lies in
         # the successors of tT, so two steps from t reach all of it
-        return len({reduce(or_, map(succ.__getitem__, _bits(s)), 1 << t | s)
+        return len({reduce(or_, map(succ.__getitem__, bit_indices(s)), 1 << t | s)
                     for t, s in succ.items()})

@@ -140,6 +140,28 @@ def brute_d_leq(table):
             if ia <= ib}
 
 
+def is_two_sided_ideal(table, subset):
+    """Whether x*s and s*x lie in the nonempty ``subset`` for every
+    element x and every s in ``subset``, read off the full table."""
+    members = sorted(subset)
+    inside = np.zeros(len(table), dtype=bool)
+    inside[members] = True
+    return bool(members) and bool(inside[table[members]].all()
+                                  and inside[table[:, members]].all())
+
+
+def brute_principal_ideals(table):
+    """The distinct S^1 s S^1, as sorted index tuples ordered by size and
+    then by members.  Read off the table once per brute R-class, since
+    R-related elements generate the same two-sided ideal."""
+    r = brute_r_classes(table)
+    reps = {}
+    for s in range(len(table)):
+        reps.setdefault(r[s], s)
+    ideals = {tuple(sorted(_two_sided_ideal(table, s))) for s in reps.values()}
+    return sorted(ideals, key=lambda t: (len(t), t))
+
+
 def brute_idempotents(elements):
     return [i for i, x in enumerate(elements) if x * x == x]
 

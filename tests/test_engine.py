@@ -1,4 +1,6 @@
 import copy
+import time
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -26,7 +28,9 @@ from .oracles import (
     brute_idempotents,
     brute_j_classes,
     brute_l_classes,
+    brute_principal_ideals,
     brute_r_classes,
+    is_two_sided_ideal,
     _partition_key,
 )
 
@@ -72,11 +76,15 @@ def _t3_mod_rank_two():
     return rees_quotient(S, next(i for i in ideals_of(S) if len(i) == 21))
 
 
-@pytest.mark.parametrize("build", [
+# ORACLE_SUITE plus a Rees quotient, as zero-argument builders
+ORACLE_BUILDS = [
     *(pytest.param(lambda f=f, n=n: monoid(f, n), id=f"{f}-{n}")
       for f, n in ORACLE_SUITE),
     pytest.param(_t3_mod_rank_two, id="T-3-mod-rank-2"),
-])
+]
+
+
+@pytest.mark.parametrize("build", ORACLE_BUILDS)
 def test_cayley_graphs_and_words_match_products(build):
     S = build()
     elements, gens = S.elements, S.gens
@@ -218,6 +226,18 @@ def test_idempotent_counts():
     assert idempotents(TL3) == brute_idempotents(TL3.elements)
 
 
+@pytest.mark.parametrize("family,n", ORACLE_SUITE)
+def test_idempotents_match_the_table_diagonal(family, n):
+    S = monoid(family, n)
+    table = S.multiplication_table()
+    diagonal = [i for i in range(len(S)) if table[i, i] == i]
+    assert idempotents(S) == diagonal
+    green = green_structure(S)
+    for pos, d_id in enumerate(green.d_order):
+        members = set(green.d_class_elements(d_id))
+        assert green.eggbox(pos).idempotent_mask.sum() == len(members.intersection(diagonal))
+
+
 @pytest.mark.parametrize("family,n", [("T", 3), ("I", 3), ("TL", 5), ("Br", 3), ("P", 2)])
 def test_eggbox_cells_equal_size_within_d_class(family, n):
     S = monoid(family, n)
@@ -250,6 +270,37 @@ def test_principal_ideals_and_is_ideal():
     # {identity} is not an ideal: S * {1} is not inside it
     ident_only = [0]
     assert not is_ideal(S, ident_only)
+
+
+@pytest.mark.parametrize("build", ORACLE_BUILDS)
+def test_ideals_match_brute_force(build):
+    S = build()
+    table = S.multiplication_table()
+    principals = principal_ideals(S)
+    assert principals == brute_principal_ideals(table)
+    for a, b in combinations_with_replacement(principals, 2):
+        assert is_ideal(S, set(a) | set(b))
+    assert is_ideal(S, [0]) == (len(S) == 1)
+    # principal one-sided ideals sS^1 and S^1s: ideals only when two-sided
+    one_sided = {frozenset(line.tolist()) | {s}
+                 for s in range(len(S)) for line in (table[s], table[:, s])}
+    for subset in one_sided:
+        assert is_ideal(S, subset) == is_two_sided_ideal(table, subset)
+    unions = {frozenset(p) for p in principals}
+    while True:
+        more = {a | b for a in unions for b in unions} - unions
+        if not more:
+            break
+        unions |= more
+    assert ideals_of(S) == sorted(unions, key=lambda s: (len(s), sorted(s)))
+
+
+def test_principal_ideals_of_tl8_are_fast():
+    S = monoid("TL", 8)
+    start = time.perf_counter()
+    principals = principal_ideals(S)
+    assert time.perf_counter() - start < 0.5
+    assert [len(p) for p in principals] == [196, 980, 1380, 1429, 1430]
 
 
 def test_ideals_of_t3_are_the_rank_ideals():
