@@ -20,7 +20,7 @@ from .embeddings import embed, realize
 from .formulas import family_order
 from .catalog import standard_generators
 from .engine import enumerate_family, enumerate_semigroup, green_structure, idempotents
-from .census import all_subsemigroups, census_up_to_conjugacy, subgroup_census, symmetry_group
+from .census import all_subsemigroup_masks, census_up_to_conjugacy, subgroup_census, symmetry_group
 
 __version__ = "0.1.0"
 
@@ -30,6 +30,6 @@ __all__ = [
     "element_product", "is_planar", "pbr_from_bipartition", "pbr_identity",
     "pbr_product", "rank", "embed", "realize", "family_order",
     "standard_generators", "enumerate_family", "enumerate_semigroup",
-    "green_structure", "idempotents", "all_subsemigroups",
+    "green_structure", "idempotents", "all_subsemigroup_masks",
     "census_up_to_conjugacy", "subgroup_census", "symmetry_group",
 ]

@@ -1,11 +1,15 @@
 """Subsemigroup census of a small enumerated semigroup.
 
-Subsets are bitmasks over element indices.  The search grows closed
-sets by adjoining one element at a time and re-closing: a state is a
-closed mask plus the lowest index it still has to try, and a mask is
-re-expanded only for index windows nobody has tried yet.  Every closed
-subset (the empty one included) is produced exactly once; a 2^N subset
-scan doubles as the completeness oracle in the tests.
+Subsets are bitmasks over element indices.  The search is Close-by-One
+(S. O. Kuznetsov, 1993; compare B. Ganter's NextClosure, 1984): a state
+is a closed mask M plus the lowest index lo it may still adjoin.  The
+children of M are the closures C = <M, e> for e >= lo not in M that gain
+no element below e, and each child is expanded from e + 1.  The one
+parent of a nonempty closed C is <C ∩ [0, e)>, for the largest e in C
+outside the closure of C's elements below e, so every closed subset
+(the empty one included) is produced exactly once and no record of the
+sets already found is kept; a 2^N subset scan doubles as the
+completeness oracle in the tests.
 
 Deduplication to conjugacy classes maps every mask through the ambient
 symmetry group (the point permutations fixing the element set) and
@@ -96,34 +100,16 @@ def symmetry_group(S: EnumeratedSemigroup) -> SymmetryGroup:
 
 def all_subsemigroup_masks(S, max_elements=None):
     """Every product-closed subset of S, as a sorted list of bitmasks."""
-    n = len(S)
-    check_census_bound(n, max_elements)
+    check_census_bound(len(S), max_elements)
     table = S.multiplication_table()
-
-    seen = {0}
-    expanded_lo = {}  # mask -> lowest start of an extension window already run
+    masks = [0]
     work = [(0, 0)]
     while work:
         mask, lo = work.pop()
-        hi = expanded_lo.get(mask, n)
-        if lo >= hi:
-            continue  # a state with a lower bound got here first
-        expanded_lo[mask] = lo
-        for e, closed in _KERNELS.extend_window(table, mask, lo, hi):
-            seen.add(closed)
-            if e + 1 < expanded_lo.get(closed, n):
-                work.append((closed, e + 1))
-    return sorted(seen)
-
-
-def all_subsemigroups(S, mode="count", max_elements=None):
-    """Count or stream all subsemigroups (the empty set included)."""
-    masks = all_subsemigroup_masks(S, max_elements=max_elements)
-    if mode == "count":
-        return len(masks)
-    if mode == "stream":
-        return iter(masks)
-    raise ValueError(f"unknown mode {mode!r}")
+        for e, closed in _KERNELS.extend_window(table, mask, lo):
+            masks.append(closed)
+            work.append((closed, e + 1))
+    return sorted(masks)
 
 
 @dataclass(frozen=True)

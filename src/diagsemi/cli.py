@@ -98,7 +98,7 @@ def cmd_census(args):
         return 0
 
     if args.raw:
-        total = census_mod.all_subsemigroups(S, mode="count", max_elements=limit)
+        total = len(census_mod.all_subsemigroup_masks(S, max_elements=limit))
         print(f"subsemigroups of {args.family}_{args.n}: {total}")
         return 0
 

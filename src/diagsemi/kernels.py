@@ -16,6 +16,10 @@ rows g and the elements y of the chunk whose bits are set in b, so all
 |G| images together cost ⌈N/4⌉ lookups.  Chunks of 4 bits rather than
 8 keep the tables several times smaller at about the same speed.
 
+``extend_window`` serves the Close-by-One search of ``census``; its
+canonicity test stops a closure at the first element below the one
+adjoined, so the closures it drops cost little.
+
 A ``Backend`` keeps the tables of the last multiplication table and of
 the last permutation array it saw, one entry for each kind.  The cache compares
 by identity and holds a strong reference to the array, so an id can
@@ -69,15 +73,20 @@ def _image_tables(rows):
                            for y in range(n)])
 
 
-def _closure(products, mask, first):
-    """Closure of the closed set ``mask`` after adjoining element ``first``;
-    the nibbles of the closed set grow along with it."""
+def _closure(products, mask, nib, first):
+    """Closure of the closed set ``mask``, whose nibbles are ``nib``, after
+    adjoining element ``first``, or None as soon as it gains an element
+    below ``first``; a copy of the nibbles grows along with the set."""
     m = mask | 1 << first
-    nib = _nibbles(m, len(products[0]))
+    below = (1 << first) - 1
+    nib = nib[:]
+    nib[first >> 2] |= 1 << (first & 3)
     stack = [first]
     while stack:
         new = _lookup(products[stack.pop()], nib) & ~m
         if new:
+            if new & below:
+                return None
             m |= new
             for p in bit_indices(new):
                 nib[p >> 2] |= 1 << (p & 3)
@@ -106,11 +115,13 @@ class Backend:
         holds this very array."""
         return self._tables(_product_tables, table)
 
-    def extend_window(self, table, mask, lo, hi):
-        """``(e, closure of mask + e)`` for each e in [lo, hi) not in mask."""
+    def extend_window(self, table, mask, lo):
+        """``(e, closure of mask + e)`` for each e >= lo not in mask whose
+        closure gains no element below e: the canonical children of mask."""
         products = self.product_tables(table)
-        return [(e, _closure(products, mask, e))
-                for e in range(lo, hi) if not mask >> e & 1]
+        nib = _nibbles(mask, len(products[0]))
+        return [(e, closed) for e in range(lo, len(products)) if not mask >> e & 1
+                and (closed := _closure(products, mask, nib, e)) is not None]
 
     def min_image(self, mask, perms):
         """Minimal image of ``mask`` under the rows of ``perms``, and the

@@ -1,11 +1,11 @@
 import random
+import time
 
 import pytest
 
 from diagsemi.census import (
     FeasibilityError,
     all_subsemigroup_masks,
-    all_subsemigroups,
     census_up_to_conjugacy,
     joint_histogram,
     size_histogram,
@@ -23,7 +23,7 @@ from .oracles import brute_closed_subsets, is_closed
 # classes and excludes the empty set; every other row includes it).
 TABLE3 = [
     ("TL", 1, 2), ("TL", 2, 4), ("TL", 3, 12), ("TL", 4, 232), ("TL", 5, 12592),
-    ("Br", 1, 2), ("Br", 2, 6), ("Br", 3, 42),
+    ("Br", 1, 2), ("Br", 2, 6), ("Br", 3, 42), ("Br", 4, 10411),
     ("S", 1, 1), ("S", 2, 2), ("S", 3, 4), ("S", 4, 11), ("S", 5, 19),
     ("T", 1, 2), ("T", 2, 8), ("T", 3, 283),
     ("I", 1, 4), ("I", 2, 23), ("I", 3, 2963),
@@ -34,7 +34,10 @@ TABLE3 = [
     ("PB", 1, 1262),
 ]
 
-STRETCH = [("Br", 4, 10411)]
+STRETCH = [("PT", 3, 94232)]
+
+# Raw closed sets (the empty one included) that the census tests also assert
+RAW_SETS = {("Br", 4): 178323, ("PT", 3): 546834}
 
 # S_5 (120 elements) and Br_4 (105) are over the default bound and wider
 # than 64 bits; they run under a bound of 200
@@ -46,7 +49,9 @@ def _census_count(family, n):
     max_elements = 200 if (family, n) in WIDE else None
     if family == "S":
         return subgroup_census(S, max_elements=max_elements)
-    records, _ = census_up_to_conjugacy(S, max_elements=max_elements)
+    records, raw = census_up_to_conjugacy(S, max_elements=max_elements)
+    if (family, n) in RAW_SETS:
+        assert raw == RAW_SETS[family, n]
     return len(records)
 
 
@@ -68,7 +73,7 @@ def test_subgroup_census_rejects_a_non_group():
 
 def test_trivial_ambient():
     S = enumerate_semigroup([MapElement.identity(1)])
-    assert all_subsemigroups(S, mode="count") == 2
+    assert all_subsemigroup_masks(S) == [0, 1]
     records, total = census_up_to_conjugacy(S)
     assert total == 2
     assert size_histogram(records) == {0: 1, 1: 1}
@@ -79,17 +84,35 @@ def test_trivial_ambient():
     ("B", 1), ("P", 1), ("Br", 2), ("IS", 2), ("TL", 3), ("Br", 3),
 ])
 def test_search_agrees_with_subset_scan(family, n):
-    """Canonical-extension search vs filtering all 2^N subsets (N <= 15)."""
+    """Close-by-One search vs filtering all 2^N subsets (N <= 15)."""
     S = monoid(family, n)
     assert len(S) <= 15
     table = S.multiplication_table()
     assert all_subsemigroup_masks(S) == sorted(brute_closed_subsets(table))
 
 
+@pytest.mark.parametrize("family,n,raw", [
+    ("T", 3, 1299), ("IS", 3, 4055), ("I", 3, 16143), ("TL", 5, 24966), ("S", 5, 157),
+])
+def test_raw_counts_past_the_subset_scan(family, n, raw):
+    """Raw closed-set counts on ambients too large for the subset scan."""
+    max_elements = 200 if (family, n) in WIDE else None
+    assert len(all_subsemigroup_masks(monoid(family, n), max_elements=max_elements)) == raw
+
+
+def test_s5_search_is_fast():
+    S = monoid("S", 5)
+    S.multiplication_table()
+    start = time.perf_counter()
+    masks = all_subsemigroup_masks(S, max_elements=200)
+    assert time.perf_counter() - start < 1.0
+    assert len(masks) == 157
+
+
 def test_every_emitted_mask_is_closed():
     S = monoid("T", 3)
     table = S.multiplication_table()
-    for mask in all_subsemigroups(S, mode="stream"):
+    for mask in all_subsemigroup_masks(S):
         assert is_closed(table, mask)
 
 
@@ -181,7 +204,7 @@ def test_histogram_perm_filter():
 def test_feasibility_bound_refuses_not_lies():
     S = monoid("T", 3)
     with pytest.raises(FeasibilityError):
-        all_subsemigroups(S, mode="count", max_elements=10)
+        all_subsemigroup_masks(S, max_elements=10)
     with pytest.raises(FeasibilityError):
         census_up_to_conjugacy(S, max_elements=10)
     with pytest.raises(FeasibilityError, match="bound of 10"):

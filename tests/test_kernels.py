@@ -41,22 +41,22 @@ def _check_against_oracles(kernels, table, perms, masks):
 
 def test_closure_basics():
     table = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 2]], dtype=np.int32)
-    # closing {1} pulls in 1*1=0
-    assert dict(KERNELS.extend_window(table, 0, 0, 3)) == {0: 0b001, 1: 0b011, 2: 0b100}
-    exts = dict(KERNELS.extend_window(table, 0b100, 0, 3))
-    assert exts == {0: 0b101, 1: 0b111}
+    # closing {1} pulls in 1*1=0, below 1: that closure is not a child
+    assert dict(KERNELS.extend_window(table, 0, 0)) == {0: 0b001, 2: 0b100}
+    exts = dict(KERNELS.extend_window(table, 0b100, 0))
+    assert exts == {0: 0b101}
     assert all(is_closed(table, m) for m in exts.values())
 
 
 def test_extend_window_wider_than_64():
     n = 70
     table = _capped_sum(n)
-    assert KERNELS.extend_window(table, 0, 1, 2) == [(1, (1 << n) - 2)]
+    assert KERNELS.extend_window(table, 0, 1)[0] == (1, (1 << n) - 2)
     top = 1 << (n - 1)
-    assert dict(KERNELS.extend_window(table, 0, 40, n)) == {
+    assert dict(KERNELS.extend_window(table, 0, 40)) == {
         e: 1 << e | top for e in range(40, n)}
     mask = 1 << 35 | top
-    exts = dict(KERNELS.extend_window(table, mask, 60, n))
+    exts = dict(KERNELS.extend_window(table, mask, 60))
     assert exts == {e: mask | 1 << e for e in range(60, n - 1)}
     assert all(is_closed(table, m) for m in exts.values())
 
@@ -67,10 +67,10 @@ def test_min_image_and_dclasses_wider_than_64():
     rng = random.Random(70)
     perms = np.array([list(range(n))] + [rng.sample(range(n), n) for _ in range(7)],
                      dtype=np.int32)
-    singles = [m for _, m in KERNELS.extend_window(table, 0, 0, n)]
+    singles = [m for _, m in KERNELS.extend_window(table, 0, 0)]
     masks = {0} | set(singles)
     for mask in rng.sample(singles, 12):
-        masks.update(m for _, m in KERNELS.extend_window(table, mask, 0, n))
+        masks.update(m for _, m in KERNELS.extend_window(table, mask, 0))
     _check_against_oracles(KERNELS, table, perms, sorted(masks))
 
 
@@ -99,7 +99,7 @@ def test_cache_never_serves_a_stale_array():
     assert all(is_closed(t, m) for t in tables for m in masks)
 
     def table_results(kernels, t):
-        return (kernels.extend_window(t, 1 << 29, 0, n),
+        return (kernels.extend_window(t, 1 << 29, 0),
                 [kernels.count_dclasses(t, m) for m in masks])
 
     def perm_results(kernels, p):
