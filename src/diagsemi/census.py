@@ -11,15 +11,18 @@ outside the closure of C's elements below e, so every closed subset
 sets already found is kept; a 2^N subset scan doubles as the
 completeness oracle in the tests.
 
-Deduplication to conjugacy classes maps every mask through the ambient
-symmetry group (the point permutations fixing the element set) and
-keeps the minimal image, where masks compare as plain integers with
-element i at bit i.
+The subtrees below the empty set share nothing, so the census searches
+and folds each one whole, in up to ``jobs`` forked workers.  The fold to
+conjugacy classes maps every mask through the ambient symmetry group
+(the point permutations fixing the element set) and keeps the minimal
+image, where masks compare as plain integers with element i at bit i.
 """
 
 import json
 import multiprocessing
 import os
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -98,18 +101,22 @@ def symmetry_group(S: EnumeratedSemigroup) -> SymmetryGroup:
     return SymmetryGroup(kept, np.vstack(rows))
 
 
-def all_subsemigroup_masks(S, max_elements=None):
-    """Every product-closed subset of S, as a sorted list of bitmasks."""
-    check_census_bound(len(S), max_elements)
-    table = S.multiplication_table()
-    masks = [0]
-    work = [(0, 0)]
+def _closed_sets(table, mask, lo):
+    """Every closed set of the Close-by-One subtree below the state
+    (mask, lo), mask itself first."""
+    yield mask
+    work = [(mask, lo)]
     while work:
         mask, lo = work.pop()
         for e, closed in _KERNELS.extend_window(table, mask, lo):
-            masks.append(closed)
+            yield closed
             work.append((closed, e + 1))
-    return sorted(masks)
+
+
+def all_subsemigroup_masks(S, max_elements=None):
+    """Every product-closed subset of S, as a sorted list of bitmasks."""
+    check_census_bound(len(S), max_elements)
+    return sorted(_closed_sets(S.multiplication_table(), 0, 0))
 
 
 @dataclass(frozen=True)
@@ -132,23 +139,25 @@ class CensusRecord:
         }
 
 
+# read by _census_subtree: a forked pool inherits it, so nothing in it is pickled
 _POOL_STATE = {}
 
 
-def _stats_worker(args):
-    mask, orbit = args
-    return _make_record(_POOL_STATE["table"], _POOL_STATE["perm_bits"], mask, orbit)
-
-
-def _make_record(table, perm_bits, mask, orbit):
-    return CensusRecord(
-        mask=mask,
-        orbit_size=orbit,
-        size=bin(mask).count("1"),
-        d_classes=_KERNELS.count_dclasses(table, mask),
-        idempotents=_KERNELS.count_idempotents(table, mask),
-        has_nontrivial_perm=bool(mask & perm_bits),
-    )
+def _census_subtree(state):
+    """The records of the closed sets below ``state`` that are their own
+    minimal image, and how many sets of the subtree each minimal image has."""
+    table, perms, perm_bits = (_POOL_STATE[k] for k in ("table", "perms", "perm_bits"))
+    records, found = [], Counter()
+    for m in _closed_sets(table, *state):
+        rep, orbit = _KERNELS.min_image(m, perms)
+        found[rep] += 1
+        if rep == m:
+            records.append(CensusRecord(
+                mask=m, orbit_size=orbit, size=bin(m).count("1"),
+                d_classes=_KERNELS.count_dclasses(table, m),
+                idempotents=_KERNELS.count_idempotents(table, m),
+                has_nontrivial_perm=bool(m & perm_bits)))
+    return records, found
 
 
 def census_up_to_conjugacy(S, G=None, max_elements=None, jobs=1):
@@ -157,36 +166,28 @@ def census_up_to_conjugacy(S, G=None, max_elements=None, jobs=1):
     check_census_bound(len(S), max_elements)
     if G is None:
         G = symmetry_group(S)
-    masks = all_subsemigroup_masks(S, max_elements=max_elements)
-
-    groups = {}
-    for m in masks:
-        rep, orbit = _KERNELS.min_image(m, G.index_perms)
-        groups.setdefault(rep, [orbit, 0])
-        groups[rep][1] += 1
-    for rep, (orbit, n_in_orbit) in groups.items():
-        if orbit != n_in_orbit:
-            raise AssertionError(
-                f"orbit of {rep:#x} has {orbit} images but {n_in_orbit} members"
-            )
-
-    perm_bits = 0
-    for i, x in enumerate(S.elements):
-        if is_nontrivial_permutation(x):
-            perm_bits |= 1 << i
-
     table = S.multiplication_table()
-    items = sorted((rep, orbit) for rep, (orbit, _) in groups.items())
+    perm_bits = sum(1 << i for i, x in enumerate(S.elements) if is_nontrivial_permutation(x))
+    _POOL_STATE.update(table=table, perms=G.index_perms, perm_bits=perm_bits)
+
+    # the empty set alone, here: this builds the kernels' tables before a fork
+    records, found = _census_subtree((0, len(S)))
+    states = [(closed, e + 1) for e, closed in _KERNELS.extend_window(table, 0, 0)]
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1 and len(items) > 256:
-        _KERNELS.product_tables(table)  # built once here, inherited by the fork
-        _POOL_STATE.update(table=table, perm_bits=perm_bits)
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            records = pool.map(_stats_worker, items, chunksize=512)
-    else:
-        records = [_make_record(table, perm_bits, m, o) for m, o in items]
-    assert sum(r.orbit_size for r in records) == len(masks)
-    return records, len(masks)
+    with multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        # one subtree per task, as their sizes differ by orders of magnitude
+        for part, counts in (pool.imap_unordered if pool else map)(_census_subtree, states):
+            records += part
+            found.update(counts)  # Counter.update adds where dict.update overwrites
+    records.sort(key=lambda r: r.mask)
+
+    raw_total = sum(found.values())
+    for r in records:
+        if found.pop(r.mask) != r.orbit_size:
+            raise AssertionError(f"orbit of {r.mask:#x} does not hold {r.orbit_size} sets")
+    if found:
+        raise AssertionError(f"{len(found)} minimal images were found without their set")
+    return records, raw_total
 
 
 def subgroup_census(S, G=None, max_elements=None, jobs=1):

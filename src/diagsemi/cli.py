@@ -83,6 +83,9 @@ def cmd_order(args):
 
 
 def cmd_census(args):
+    if args.family == "S" and args.stats:
+        raise ValueError("--stats is not available for the S row, "
+                         "which counts subgroup classes only")
     limit = _census_bound()
     S = _enumerate(args.family, args.n, limit, "census")
     # backend=python is a fixed field of the census header: existing

@@ -110,15 +110,10 @@ class Backend:
             self._cache[build] = (array, tables)
         return tables
 
-    def product_tables(self, table):
-        """The product nibble tables of ``table``, built unless the cache
-        holds this very array."""
-        return self._tables(_product_tables, table)
-
     def extend_window(self, table, mask, lo):
         """``(e, closure of mask + e)`` for each e >= lo not in mask whose
         closure gains no element below e: the canonical children of mask."""
-        products = self.product_tables(table)
+        products = self._tables(_product_tables, table)
         nib = _nibbles(mask, len(products[0]))
         return [(e, closed) for e in range(lo, len(products)) if not mask >> e & 1
                 and (closed := _closure(products, mask, nib, e)) is not None]
@@ -139,7 +134,7 @@ class Backend:
     def count_dclasses(self, table, mask):
         """Number of D-classes of the subsemigroup ``mask``: its distinct
         principal two-sided ideals."""
-        products = self.product_tables(table)
+        products = self._tables(_product_tables, table)
         nib = _nibbles(mask, len(products[0]))
         succ = {x: _lookup(products[x], nib) for x in bit_indices(mask)}
         # the ideal of t is {t} | tT | Tt | TtT, and TtT = T(tT) lies in

@@ -211,12 +211,40 @@ def test_feasibility_bound_refuses_not_lies():
         subgroup_census(monoid("S", 4), max_elements=10)
 
 
-def test_census_deterministic_across_jobs():
-    S = monoid("T", 3)
+@pytest.mark.parametrize("family,n", [("T", 3), ("I", 3), ("P", 2), ("TL", 4), ("B", 2)])
+def test_census_deterministic_across_jobs(family, n):
+    S = monoid(family, n)
     a, ta = census_up_to_conjugacy(S, jobs=1)
-    b, tb = census_up_to_conjugacy(S, jobs=3)
+    b, tb = census_up_to_conjugacy(S, jobs=2)
     assert ta == tb
     assert a == b
+
+
+def test_census_refuses_an_incomplete_search(monkeypatch):
+    """A search that loses one leaf of the Close-by-One tree trips the
+    census guard that matches the lost set: a set that is not its own
+    minimal image leaves its class short, and a lost representative leaves
+    its orbit counted without a record."""
+    S = monoid("T", 3)
+    table = S.multiplication_table()
+    G = symmetry_group(S)
+    kernels = Backend()
+    leaves, work = [], [(0, 0)]
+    while work:
+        mask, lo = work.pop()
+        for e, c in kernels.extend_window(table, mask, lo):
+            work.append((c, e + 1))
+            if not kernels.extend_window(table, c, e + 1):
+                leaves.append(c)
+    images = {c: kernels.min_image(c, G.index_perms) for c in leaves}
+    not_minimal = next(c for c in leaves if images[c][0] != c)
+    representative = next(c for c in leaves if images[c][0] == c and images[c][1] > 1)
+    extend = Backend.extend_window
+    for dropped, guard in ((not_minimal, "^orbit of"), (representative, "without their set")):
+        monkeypatch.setattr(Backend, "extend_window", lambda self, table, mask, lo: [
+            (e, c) for e, c in extend(self, table, mask, lo) if c != dropped])
+        with pytest.raises(AssertionError, match=guard):
+            census_up_to_conjugacy(S, G=G)
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch):
@@ -232,8 +260,9 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return [fn(item) for item in items]
+        def imap_unordered(self, fn, items, chunksize=1):
+            # results need not arrive in the order they were submitted
+            return reversed([fn(item) for item in items])
 
     class SerialContext:
         Pool = SerialPool

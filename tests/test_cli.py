@@ -65,6 +65,13 @@ def test_census_stats_files(tmp_path, capsys):
     assert header == f"# {config}"
 
 
+def test_census_stats_refused_for_the_s_row(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "census", "S", "3", "--stats", "--out", tmp_path)
+    assert code == 2
+    assert err.startswith("error: --stats") and "S row" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_census_jobs_byte_identical(tmp_path, capsys):
     run_cli(capsys, "census", "T", "3", "--stats", "--jobs", 1, "--out", tmp_path / "a")
     run_cli(capsys, "census", "T", "3", "--stats", "--jobs", 4, "--out", tmp_path / "b")
