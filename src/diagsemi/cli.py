@@ -13,6 +13,8 @@ before it builds generators or enumerates anything: ``census`` with the
 census bound (64 elements, overridden by DIAGSEMI_MAX_ELEMENTS), the
 others with the fixed enumeration bound of 250,000 elements.  ``order``
 then skips its enumeration; ``census``, ``green`` and ``fern`` exit 2.
+``fern`` keeps that bound although it builds its D-class from
+half-diagrams and never enumerates TL_n.
 
 Exit status is 0 only when every verification the command performs
 reports MATCH.
@@ -22,6 +24,8 @@ import argparse
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import catalog, census as census_mod, engine
 from .elements import FAMILY_CODES, FAMILY_NAMES
@@ -52,14 +56,22 @@ def _config_line(args, **extra):
     return f"diagsemi {body}"
 
 
-def _enumerate(family, n, bound=census_mod.ENUMERATION_MAX_ELEMENTS,
-               kind="enumeration"):
-    """family_n, or FeasibilityError before any work when its closed-form
-    order is over ``bound``.  The catalog checks that every generator is
-    in the family, so a correct run never passes the closed form and a
-    product fault that does raises LimitExceeded at once."""
+def _check_order(family, n, bound=census_mod.ENUMERATION_MAX_ELEMENTS,
+                 kind="enumeration"):
+    """The closed-form order of family_n, or FeasibilityError before any
+    work when it is over ``bound``."""
     order = family_order(family, n)
     census_mod.check_bound(order, bound, kind, what=f"{family}_{n}")
+    return order
+
+
+def _enumerate(family, n, bound=census_mod.ENUMERATION_MAX_ELEMENTS,
+               kind="enumeration"):
+    """family_n, once its order passes ``_check_order``.  The catalog
+    checks that every generator is in the family, so a correct run never
+    passes the closed form and a product fault that does raises
+    LimitExceeded at once."""
+    order = _check_order(family, n, bound, kind)
     gens = catalog.standard_generators(family, n)
     return engine.enumerate_family(gens, limit=order)
 
@@ -86,6 +98,9 @@ def cmd_census(args):
     if args.family == "S" and args.stats:
         raise ValueError("--stats is not available for the S row, "
                          "which counts subgroup classes only")
+    if args.raw and args.stats:
+        raise ValueError("--stats is not available with --raw, "
+                         "which counts the subsemigroups only")
     limit = _census_bound()
     S = _enumerate(args.family, args.n, limit, "census")
     # backend=python is a fixed field of the census header: existing
@@ -151,22 +166,22 @@ def cmd_green(args):
 
 
 def cmd_fern(args):
-    S = _enumerate("TL", args.n)
-    green = engine.green_structure(S)
-    if not 0 <= args.dclass < green.n_d_classes():
+    # the fern never enumerates TL_n, but keeps its enumeration bound
+    _check_order("TL", args.n)
+    if not 0 <= args.dclass <= args.n // 2:
         print(f"TL_{args.n} has no D-class index {args.dclass}", file=sys.stderr)
         return 2
-    box = green.eggbox(args.dclass)
-    engine.write_pgm(args.out, box.idempotent_mask, _config_line(args))
-    black = int(box.idempotent_mask.sum())
+    rows, cols, mask = engine.tl_fern(catalog.standard_generators("TL", args.n),
+                                      args.dclass)
+    engine.write_pgm(args.out, mask, _config_line(args))
+    black = int(mask.sum())
 
-    # cross-check against a direct x*x == x scan of that D-class
-    d_id = green.d_order[args.dclass]
-    brute = sum(1 for i in green.d_class_elements(d_id)
-                if S.elements[i] * S.elements[i] == S.elements[i])
-    verdict = "MATCH" if black == brute else "MISMATCH"
-    print(f"TL_{args.n} D[{args.dclass}]: "
-          f"{box.idempotent_mask.shape[0]}x{box.idempotent_mask.shape[1]} bitmap, "
+    # cross-check every cell by a direct x*x == x on the diagram of its halves
+    diagrams = ([engine.tl_diagram(u, v) for v in cols] for u in rows)
+    brute_mask = np.array([[x * x == x for x in row] for row in diagrams], dtype=bool)
+    brute = int(brute_mask.sum())
+    verdict = "MATCH" if np.array_equal(brute_mask, mask) else "MISMATCH"
+    print(f"TL_{args.n} D[{args.dclass}]: {len(rows)}x{len(cols)} bitmap, "
           f"{black} idempotent cells (brute-force {brute}, {verdict})")
     print(f"wrote {args.out}")
     return 0 if verdict == "MATCH" else 1

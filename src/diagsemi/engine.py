@@ -29,10 +29,11 @@ al., "Computing finite semigroups", 2019).
 import heapq
 import json
 from array import array
+from math import comb
 
 import numpy as np
 
-from .elements import identity_like
+from .elements import Bipartition, identity_like
 
 
 class LimitExceeded(RuntimeError):
@@ -405,6 +406,127 @@ def eggbox(green, position: int) -> Eggbox:
     mask = np.array(idem, dtype=bool).reshape(len(rpos), width)
     box = green._eggboxes[position] = Eggbox(list(rpos), list(cpos), cells, mask)
     return box
+
+
+# ---------------------------------------------------------------------------
+# Temperley-Lieb ferns from half-diagrams
+#
+# Every block of a TL diagram is a pair, so one row of it is a planar
+# involution of 0..n-1: half[i] is the other end of the cup at i, or i
+# itself when i lies on a through line.  In TL_n the upper half fixes
+# the R-class and the lower half the L-class, H-classes are trivial, and
+# D[k] is every (upper, lower) pair of halves with r = n - 2k through
+# points, through lines joined in order.
+
+
+def _half(labels):
+    """The half-diagram of one row of a TL diagram, from the block labels
+    of its points."""
+    half = list(range(len(labels)))
+    first = {}
+    for i, b in enumerate(labels):
+        j = first.setdefault(b, i)
+        half[i], half[j] = j, i
+    return tuple(half)
+
+
+def _through(half):
+    return [i for i, j in enumerate(half) if i == j]
+
+
+def _least_halves(gens, identity, r, wanted, upper):
+    """The ``wanted`` halves of rank r, ordered by the shortlex-least
+    generator word whose upper (or lower) half each one is: the order of
+    first members of the R- (or L-) classes in Froidure-Pin order."""
+    n = identity.degree
+    cut = slice(0, n) if upper else slice(n, 2 * n)
+    # the orbit of the identity's half, one representative per half of
+    # rank >= r, and the generators' action on it: g*rep on the left for
+    # upper halves, rep*g on the right for lower ones; below rank r is -1
+    reps, halves = [identity], [_half(identity.assignment[cut])]
+    index, action = {halves[0]: 0}, []
+    for x in reps:
+        row = []
+        for g in gens:
+            y = g * x if upper else x * g
+            h = _half(y.assignment[cut])
+            j = index.get(h, -1)
+            if j < 0 and len(_through(h)) >= r:
+                j = index[h] = len(reps)
+                reps.append(y)
+                halves.append(h)
+            row.append(j)
+        action.append(row)
+    targets = {j for j, h in enumerate(halves) if len(_through(h)) == r}
+    if len(targets) != wanted:
+        raise AssertionError(f"the orbit holds {len(targets)} halves of rank {r}, "
+                             f"not {wanted}")
+
+    # level L lists the halves with a word of exact length L, by their
+    # least such word: w = g.w' (upper) or w'.g (lower), ranked by the
+    # letter and the rank of w' at level L-1, letter first for upper
+    # halves as it leads the word.  Every half of the orbit has a word,
+    # so each target turns up at the length of its shortest one.
+    level, order = [0], []
+    while True:
+        for j in level:
+            if j in targets:
+                targets.remove(j)
+                order.append(halves[j])
+        if not targets:
+            return order
+        best = {}
+        for pos, i in enumerate(level):
+            for g, j in enumerate(action[i]):
+                key = (g, pos) if upper else (pos, g)
+                if j >= 0 and (j not in best or key < best[j]):
+                    best[j] = key
+        level = sorted(best, key=best.__getitem__)
+
+
+def _keeps_rank(upper, lower):
+    """Whether gluing ``lower`` onto ``upper`` keeps every through line: each
+    through point of ``lower``, followed through cups alternately of
+    ``upper`` and ``lower``, ends at a through point of ``upper``."""
+    for p in _through(lower):
+        while upper[p] != p:
+            q = upper[p]
+            if lower[q] == q:
+                return False
+            p = lower[q]
+    return True
+
+
+def tl_diagram(upper, lower):
+    """The TL diagram with the given upper and lower halves, through lines
+    joined in order."""
+    n = len(upper)
+    labels = [min(i, j) for i, j in enumerate(upper)]
+    labels += [n + min(i, j) for i, j in enumerate(lower)]
+    for a, b in zip(_through(upper), _through(lower)):
+        labels[n + b] = a
+    return Bipartition(n, labels)
+
+
+def tl_fern(gens, position: int):
+    """Rows, columns and idempotent mask of the eggbox of TL_n's D-class
+    at ``position`` (rank n - 2*position), without enumerating TL_n.
+
+    ``gens`` is a generating set of TL_n with its identity.  Rows and
+    columns are upper and lower halves, in the order ``eggbox`` gives
+    their R- and L-classes; cell (u, v) is black iff the diagram with
+    halves u and v is idempotent, i.e. iff v glued onto u keeps rank."""
+    identity = gens.identity
+    n = identity.degree
+    if not 0 <= position <= n // 2:
+        raise ValueError(f"no D-class at position {position}")
+    letters = [g for g in dict.fromkeys(gens.elements) if g != identity]
+    r = n - 2 * position
+    side = comb(n, position) - (comb(n, position - 1) if position else 0)
+    rows = _least_halves(letters, identity, r, side, upper=True)
+    cols = _least_halves(letters, identity, r, side, upper=False)
+    mask = np.array([[_keeps_rank(u, v) for v in cols] for u in rows], dtype=bool)
+    return rows, cols, mask
 
 
 def idempotents(S: EnumeratedSemigroup):

@@ -21,7 +21,8 @@ canonicity test stops a closure at the first element below the one
 adjoined, so the closures it drops cost little.
 
 A ``Backend`` keeps the tables of the last multiplication table and of
-the last permutation array it saw, one entry for each kind.  The cache compares
+the last permutation array it saw, one entry for each kind of table:
+product tables, the idempotent mask, image tables.  The cache compares
 by identity and holds a strong reference to the array, so an id can
 never be reused while its tables are cached; an array must not be
 changed in place once a kernel has seen it.  Building the tables before
@@ -71,6 +72,11 @@ def _image_tables(rows):
     n = len(rows[0])
     return _nibble_tables([sum(1 << (g * n + row[y]) for g, row in enumerate(rows))
                            for y in range(n)])
+
+
+def _idempotents(rows):
+    """The mask of the i with i*i = i."""
+    return sum(1 << i for i, row in enumerate(rows) if row[i] == i)
 
 
 def _closure(products, mask, nib, first):
@@ -129,7 +135,7 @@ class Backend:
         return min(images), len(images)
 
     def count_idempotents(self, table, mask):
-        return sum(1 for i in bit_indices(mask) if int(table[i, i]) == i)
+        return (mask & self._tables(_idempotents, table)).bit_count()
 
     def count_dclasses(self, table, mask):
         """Number of D-classes of the subsemigroup ``mask``: its distinct

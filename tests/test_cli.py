@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import json
 import subprocess
 import sys
@@ -72,6 +73,14 @@ def test_census_stats_refused_for_the_s_row(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_census_raw_refuses_stats(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "census", "T", "2", "--raw", "--stats",
+                             "--out", tmp_path)
+    assert code == 2 and not out
+    assert err.startswith("error:") and "--raw" in err and "--stats" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_census_jobs_byte_identical(tmp_path, capsys):
     run_cli(capsys, "census", "T", "3", "--stats", "--jobs", 1, "--out", tmp_path / "a")
     run_cli(capsys, "census", "T", "3", "--stats", "--jobs", 4, "--out", tmp_path / "b")
@@ -122,12 +131,29 @@ def test_fern_pgm(tmp_path, capsys):
     assert lines[2] == "20 20"
 
 
-@pytest.mark.stretch
-def test_fern_tl12_stretch(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "fern", 12, 5, "--out", tmp_path / "fern.pgm")
+def test_fern_tl12(tmp_path, capsys):
+    path = tmp_path / "fern.pgm"
+    code, out, _ = run_cli(capsys, "fern", 12, 5, "--out", path)
     assert code == 0
     assert ("TL_12 D[5]: 297x297 bitmap, 55319 idempotent cells "
             "(brute-force 55319, MATCH)") in out
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "55495a400d932b8f02fc73c1d32f2cb7e9ee1f6c2b7cab9f3b40f54290607367")
+
+
+def test_fern_never_enumerates(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fern must not enumerate TL_n")
+
+    monkeypatch.setattr(engine, "enumerate_semigroup", refuse)
+    monkeypatch.setattr(engine, "green_structure", refuse)
+    path = tmp_path / "fern.pgm"
+    code, out, _ = run_cli(capsys, "fern", 10, 4, "--out", path)
+    assert code == 0
+    assert ("TL_10 D[4]: 90x90 bitmap, 5206 idempotent cells "
+            "(brute-force 5206, MATCH)") in out
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "f2d661f0d422002d88e064dfe6ce4fded51b4975431ff499d947a96817ce3a9f")
 
 
 @pytest.mark.stretch

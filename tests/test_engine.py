@@ -19,6 +19,8 @@ from diagsemi.engine import (
     is_ideal,
     principal_ideals,
     rees_quotient,
+    tl_diagram,
+    tl_fern,
 )
 
 from .conftest import monoid
@@ -199,6 +201,40 @@ def test_tl4_d_classes_linear():
     assert green.n_d_classes() == 3
     for i in range(2):
         assert (green.d_order[i + 1], green.d_order[i]) in green.d_leq
+
+
+def _tl_halves(x):
+    """Upper and lower halves of a TL diagram, from its blocks: the other
+    end of each point's cup, or the point itself on a through line."""
+    n = x.degree
+    upper, lower = list(range(n)), list(range(n))
+    for a, b in x.blocks():
+        if b < n:
+            upper[a], upper[b] = b, a
+        elif a >= n:
+            lower[a - n], lower[b - n] = b - n, a - n
+    return tuple(upper), tuple(lower)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_tl_fern_matches_enumerated_eggbox(n):
+    S = monoid("TL", n)
+    green = green_structure(S)
+    gens = standard_generators("TL", n)
+    for k in range(n // 2 + 1):
+        box = green.eggbox(k)
+        upper_of, lower_of = {}, {}  # class id -> the half all its members share
+        for i in green.d_class_elements(green.d_order[k]):
+            upper, lower = _tl_halves(S.elements[i])
+            assert upper_of.setdefault(green.r_class[i], upper) == upper
+            assert lower_of.setdefault(green.l_class[i], lower) == lower
+        rows, cols, mask = tl_fern(gens, k)
+        assert rows == [upper_of[c] for c in box.row_classes]
+        assert cols == [lower_of[c] for c in box.col_classes]
+        assert np.array_equal(mask, box.idempotent_mask)
+        assert [[[S.index[tl_diagram(u, v)]] for v in cols] for u in rows] == box.cells
+    with pytest.raises(ValueError):
+        tl_fern(gens, n // 2 + 1)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -84,6 +84,17 @@ def test_kernels_on_widths_not_a_multiple_of_4(family, n):
     _check_against_oracles(KERNELS, table, symmetry_group(S).index_perms, sample)
 
 
+def test_count_idempotents_against_the_diagonal():
+    rng = random.Random(3)
+    tables = [_capped_sum(70)] + [monoid(f, n).multiplication_table()
+                                  for f, n in (("IS", 3), ("T", 3))]
+    for table in tables:
+        n = len(table)
+        for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
+            diagonal = sum(1 for i in range(n) if mask >> i & 1 and table[i, i] == i)
+            assert KERNELS.count_idempotents(table, mask) == diagonal
+
+
 def test_cache_never_serves_a_stale_array():
     """One instance alternates two tables and two permutation arrays of
     one shape; each call gets a fresh copy, and each copy is dropped
