@@ -50,12 +50,12 @@ SYMMETRY_MAX_DEGREE = 8
 _KERNELS = Backend()
 
 
-def check_bound(n, bound, kind, what="ambient"):
-    """The one refusal of every bound: ``what`` has ``n`` elements, more
+def check_bound(n, bound, kind, what="ambient", unit="elements"):
+    """The one refusal of every bound: ``what`` has ``n`` ``unit``, more
     than the ``kind`` bound admits."""
     if n > bound:
         raise FeasibilityError(
-            f"{what} has {decimal_string(n)} elements, over the {kind} bound of {bound}")
+            f"{what} has {decimal_string(n)} {unit}, over the {kind} bound of {bound}")
 
 
 def check_census_bound(n, max_elements=None):

@@ -8,13 +8,15 @@
 
 Families: PB B PT T I S P IS Br TL (see README for the notation map).
 
-Every command compares the closed-form order of its request with a bound
-before it builds generators or enumerates anything: ``census`` with the
-census bound (64 elements, overridden by DIAGSEMI_MAX_ELEMENTS), the
-others with the fixed enumeration bound of 250,000 elements.  ``order``
-then skips its enumeration; ``census``, ``green`` and ``fern`` exit 2.
-``fern`` keeps that bound although it builds its D-class from
-half-diagrams and never enumerates TL_n.
+Every command compares the closed-form size of its work with a bound
+before it builds generators or enumerates anything: ``census`` the order
+with the census bound (64 elements, overridden by DIAGSEMI_MAX_ELEMENTS),
+``order`` and ``green`` the order with the fixed enumeration bound of
+250,000 elements.  ``fern`` never enumerates TL_n: it bounds its bitmap
+by FERN_MAX_CELLS and each of its two half-diagram orbits, in generator
+products, by the enumeration bound.  ``order`` then skips its
+enumeration; ``census``, ``green`` and ``fern`` exit 2, as they do when
+an output file cannot be written.
 
 Exit status is 0 only when every verification the command performs
 reports MATCH.
@@ -29,7 +31,13 @@ import numpy as np
 
 from . import catalog, census as census_mod, engine
 from .elements import FAMILY_CODES, FAMILY_NAMES
-from .formulas import decimal_string, family_order
+from .formulas import ballot, binomial, decimal_string, family_order
+
+# the largest fern bitmap, in cells: 16 MiB of mask
+FERN_MAX_CELLS = 1 << 24
+# peak bytes of the check's temporaries per cell and degree, as measured
+# on TL_10 and TL_14 (17-23)
+_CHECK_CELL_BYTES = 24
 
 
 def _census_bound():
@@ -56,22 +64,14 @@ def _config_line(args, **extra):
     return f"diagsemi {body}"
 
 
-def _check_order(family, n, bound=census_mod.ENUMERATION_MAX_ELEMENTS,
-                 kind="enumeration"):
-    """The closed-form order of family_n, or FeasibilityError before any
-    work when it is over ``bound``."""
-    order = family_order(family, n)
-    census_mod.check_bound(order, bound, kind, what=f"{family}_{n}")
-    return order
-
-
 def _enumerate(family, n, bound=census_mod.ENUMERATION_MAX_ELEMENTS,
                kind="enumeration"):
-    """family_n, once its order passes ``_check_order``.  The catalog
-    checks that every generator is in the family, so a correct run never
-    passes the closed form and a product fault that does raises
-    LimitExceeded at once."""
-    order = _check_order(family, n, bound, kind)
+    """family_n, or FeasibilityError before any work when its closed-form
+    order is over ``bound``.  The catalog checks that every generator is
+    in the family, so a correct run never passes the closed form and a
+    product fault that does raises LimitExceeded at once."""
+    order = family_order(family, n)
+    census_mod.check_bound(order, bound, kind, what=f"{family}_{n}")
     gens = catalog.standard_generators(family, n)
     return engine.enumerate_family(gens, limit=order)
 
@@ -165,20 +165,41 @@ def cmd_green(args):
     return 0
 
 
+def _check_fern(n, k):
+    """Refuse ``fern n k`` before any work when its bitmap or either of
+    its half-diagram orbits is over its bound: ballot(n, k)^2 cells, and
+    C(n, k) halves per side times n - 1 generator products."""
+    what = f"TL_{n} D[{k}]"
+    census_mod.check_bound(ballot(n, k) ** 2, FERN_MAX_CELLS, "fern cell",
+                           what=what, unit="cells")
+    census_mod.check_bound(binomial(n, k) * (n - 1),
+                           census_mod.ENUMERATION_MAX_ELEMENTS, "orbit",
+                           what=f"each half-diagram orbit of {what}",
+                           unit="products")
+
+
+def _idempotent_cells(rows, cols):
+    """Whether x*x == x for the diagram x of every cell: the check of the
+    fern, which multiplies the diagrams and reads no code of the mask."""
+    n = rows.shape[1]
+    mask = np.empty((len(rows), len(cols)), dtype=bool)
+    for part in engine.row_chunks(len(rows), len(cols) * n * _CHECK_CELL_BYTES):
+        x = engine.tl_cell_diagrams(rows[part], cols)
+        mask[part] = (engine.tl_products(x, x) == x).all(axis=1).reshape(-1, len(cols))
+    return mask
+
+
 def cmd_fern(args):
-    # the fern never enumerates TL_n, but keeps its enumeration bound
-    _check_order("TL", args.n)
     if not 0 <= args.dclass <= args.n // 2:
         print(f"TL_{args.n} has no D-class index {args.dclass}", file=sys.stderr)
         return 2
+    _check_fern(args.n, args.dclass)
     rows, cols, mask = engine.tl_fern(catalog.standard_generators("TL", args.n),
                                       args.dclass)
     engine.write_pgm(args.out, mask, _config_line(args))
     black = int(mask.sum())
 
-    # cross-check every cell by a direct x*x == x on the diagram of its halves
-    diagrams = ([engine.tl_diagram(u, v) for v in cols] for u in rows)
-    brute_mask = np.array([[x * x == x for x in row] for row in diagrams], dtype=bool)
+    brute_mask = _idempotent_cells(rows, cols)
     brute = int(brute_mask.sum())
     verdict = "MATCH" if np.array_equal(brute_mask, mask) else "MISMATCH"
     print(f"TL_{args.n} D[{args.dclass}]: {len(rows)}x{len(cols)} bitmap, "
@@ -232,7 +253,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (catalog.UnsupportedFamilyDegree, census_mod.FeasibilityError,
-            engine.LimitExceeded, ValueError) as exc:
+            engine.LimitExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

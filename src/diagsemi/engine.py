@@ -29,11 +29,11 @@ al., "Computing finite semigroups", 2019).
 import heapq
 import json
 from array import array
-from math import comb
 
 import numpy as np
 
-from .elements import Bipartition, identity_like
+from .elements import identity_like
+from .formulas import ballot
 
 
 class LimitExceeded(RuntimeError):
@@ -484,28 +484,34 @@ def _least_halves(gens, identity, r, wanted, upper):
         level = sorted(best, key=best.__getitem__)
 
 
-def _keeps_rank(upper, lower):
-    """Whether gluing ``lower`` onto ``upper`` keeps every through line: each
-    through point of ``lower``, followed through cups alternately of
-    ``upper`` and ``lower``, ends at a through point of ``upper``."""
-    for p in _through(lower):
-        while upper[p] != p:
-            q = upper[p]
-            if lower[q] == q:
-                return False
-            p = lower[q]
-    return True
+def _small_ints(top):
+    """The narrowest signed integer type that holds 0 .. top."""
+    return np.min_scalar_type(-top - 1)
 
 
-def tl_diagram(upper, lower):
-    """The TL diagram with the given upper and lower halves, through lines
-    joined in order."""
-    n = len(upper)
-    labels = [min(i, j) for i, j in enumerate(upper)]
-    labels += [n + min(i, j) for i, j in enumerate(lower)]
-    for a, b in zip(_through(upper), _through(lower)):
-        labels[n + b] = a
-    return Bipartition(n, labels)
+def _halves_array(halves, n):
+    """The halves as a (len(halves), n) array of small integers."""
+    return np.array(halves, dtype=_small_ints(n)).reshape(len(halves), n)
+
+
+def _through_points(halves):
+    """(R, r) array of the through points of each of R halves of rank r,
+    in increasing order."""
+    R, n = halves.shape
+    return (np.flatnonzero(halves == np.arange(n)) % n).reshape(R, -1)
+
+
+# the temporaries of one chunk of fern rows; a larger one makes no
+# fern faster but raises the peak RSS of small ones
+_CHUNK_BYTES = 1 << 18
+
+
+def row_chunks(rows, row_bytes):
+    """Slices of ``range(rows)`` whose temporaries, at ``row_bytes`` a
+    row, stay within ``_CHUNK_BYTES`` (one row at least)."""
+    step = max(1, _CHUNK_BYTES // max(1, row_bytes))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
 
 
 def tl_fern(gens, position: int):
@@ -513,20 +519,93 @@ def tl_fern(gens, position: int):
     at ``position`` (rank n - 2*position), without enumerating TL_n.
 
     ``gens`` is a generating set of TL_n with its identity.  Rows and
-    columns are upper and lower halves, in the order ``eggbox`` gives
-    their R- and L-classes; cell (u, v) is black iff the diagram with
-    halves u and v is idempotent, i.e. iff v glued onto u keeps rank."""
+    columns are (R, n) and (C, n) arrays of upper and lower halves, in
+    the order ``eggbox`` gives their R- and L-classes; cell (u, v) is
+    black iff the diagram with halves u and v is idempotent, i.e. iff v
+    glued onto u keeps rank: each walk from a through point of v,
+    through cups alternately of u and v, ends at a through point of u."""
     identity = gens.identity
     n = identity.degree
     if not 0 <= position <= n // 2:
         raise ValueError(f"no D-class at position {position}")
     letters = [g for g in dict.fromkeys(gens.elements) if g != identity]
     r = n - 2 * position
-    side = comb(n, position) - (comb(n, position - 1) if position else 0)
-    rows = _least_halves(letters, identity, r, side, upper=True)
-    cols = _least_halves(letters, identity, r, side, upper=False)
-    mask = np.array([[_keeps_rank(u, v) for v in cols] for u in rows], dtype=bool)
+    side = ballot(n, position)
+    rows = _halves_array(_least_halves(letters, identity, r, side, upper=True), n)
+    cols = _halves_array(_least_halves(letters, identity, r, side, upper=False), n)
+
+    # a walk at point p takes u's cup to q and v's cup from q; point n is
+    # where it stops, reached from every through point of u and fixed.
+    # A walk that ends at a through point of v goes back and forth on its
+    # path, which holds no through point of u, so it never reaches n.
+    # Each step uses one of u's ``position`` cups: position + 1 steps end
+    # every walk.
+    stop = np.full((side, 1), n, dtype=rows.dtype)
+    up = np.hstack([np.where(rows == np.arange(n), stop, rows), stop])
+    down = np.hstack([cols, stop]).ravel()
+    col_base = np.arange(side)[:, None] * (n + 1)
+    starts = _through_points(cols)
+    mask = np.empty((side, side), dtype=bool)
+    for part in row_chunks(side, 3 * starts.nbytes):
+        up_flat = up[part].ravel()
+        row_base = np.arange(part.stop - part.start)[:, None, None] * (n + 1)
+        p = starts
+        for _ in range(position + 1):
+            p = down[col_base + up_flat[row_base + p]]
+        mask[part] = (p == n).all(axis=2)
     return rows, cols, mask
+
+
+def tl_cell_diagrams(rows, cols):
+    """Partner arrays of the diagrams of every cell (u, v) for u in
+    ``rows`` and v in ``cols``, as a (R * C, 2n) array, row-major over
+    the cells: point i < n is upper point i, n + j is lower point j, and
+    each point holds the other end of its pair.  The upper cups are u's,
+    the lower cups v's, and the k-th through point of u is joined to the
+    k-th through point of v."""
+    R, n = rows.shape
+    C = len(cols)
+    x = np.empty((R, C, 2 * n), dtype=_small_ints(2 * n))
+    x[:, :, :n] = rows[:, None, :]
+    x[:, :, n:] = cols[None, :, :].astype(x.dtype) + n
+    upper, lower = _through_points(rows)[:, None, :], _through_points(cols)[None, :, :]
+    r_idx, c_idx = np.arange(R)[:, None, None], np.arange(C)[None, :, None]
+    x[r_idx, c_idx, upper] = n + lower
+    x[r_idx, c_idx, n + lower] = upper
+    return x.reshape(R * C, 2 * n)
+
+
+def tl_products(x, y):
+    """Partner arrays of the products x[i] * y[i] of TL diagrams given as
+    partner arrays (see ``tl_cell_diagrams``), all at once.
+
+    The product glues x's lower row to y's upper row.  Every outer point
+    starts a walk through the 3n points that leaves each middle point by
+    the edge of the other factor; it ends at its partner in the product
+    after at most n + 1 edges.  Closed loops in the middle are dropped."""
+    m, two_n = x.shape
+    n = two_n // 2
+    # a walk at state j < n is at middle point j, x's lower point n + j,
+    # and leaves by x's edge; at state n + j it is at middle point j, y's
+    # upper point j, and leaves by y's edge; at 2n + p it has ended at
+    # point p of the product.  x's edge to x[a] ends at the top when
+    # x[a] < n and else goes on at state x[a]; y's edge to y[b] ends at
+    # the bottom when y[b] >= n and else goes on at state y[b].
+    dtype = _small_ints(2 * two_n)
+    x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
+    ended = dtype.type(two_n)
+    x = x + (x < n) * ended
+    y = y + (y >= n) * ended
+    s = np.hstack([x[:, :n], y[:, n:]]).ravel()  # the first edge of each walk
+    step = np.hstack([x[:, n:], y[:, :n]]).ravel()
+    # only the walks not yet ended go on: most end at once
+    walks = np.flatnonzero(s < two_n)
+    for _ in range(n):
+        if not walks.size:
+            break
+        s[walks] = step[walks - walks % two_n + s[walks]]
+        walks = walks[s[walks] < two_n]
+    return s.reshape(m, two_n) - two_n
 
 
 def idempotents(S: EnumeratedSemigroup):
@@ -658,15 +737,13 @@ def rees_quotient(S: EnumeratedSemigroup, ideal_indices) -> EnumeratedSemigroup:
 def write_pgm(path, bitmap, comment=""):
     """P2 graymap, one pixel per cell: marked cells black, the rest white."""
     h, w = bitmap.shape
-    lines = ["P2"]
-    if comment:
-        lines.extend(f"# {line}" for line in comment.splitlines())
-    lines.append(f"{w} {h}")
-    lines.append("255")
-    for r in range(h):
-        lines.append(" ".join("0" if bitmap[r, c] else "255" for c in range(w)))
+    header = ["P2", *(f"# {line}" for line in comment.splitlines()), f"{w} {h}", "255"]
+    # one character a cell, "0" or "w", joined and then widened to "255"
+    cells = np.where(bitmap, b"0", b"w")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        for row in cells:
+            fh.write(" ".join(row.tobytes().decode()).replace("w", "255") + "\n")
 
 
 def write_green_json(path, green: GreenStructure, config=None):

@@ -20,6 +20,12 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def ballot(n: int, k: int) -> int:
+    """C(n, k) - C(n, k-1): the TL_n half-diagrams with k cups, for
+    0 <= k <= n // 2."""
+    return binomial(n, k) - (binomial(n, k - 1) if k else 0)
+
+
 def catalan(n: int) -> int:
     _check_nonneg(n)
     return math.comb(2 * n, n) // (n + 1)

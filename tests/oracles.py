@@ -181,3 +181,26 @@ def all_perfect_matchings(points):
 def all_brauer_diagrams(n):
     for matching in all_perfect_matchings(list(range(2 * n))):
         yield Bipartition.from_blocks(n, matching)
+
+
+def tl_diagram(upper, lower):
+    """The TL diagram with the given upper and lower halves, through lines
+    joined in order.  A half is a tuple: entry i is the other end of the
+    cup at i, or i itself on a through line."""
+    n = len(upper)
+    labels = [min(i, j) for i, j in enumerate(upper)]
+    labels += [n + min(i, j) for i, j in enumerate(lower)]
+    through_upper = [i for i, j in enumerate(upper) if i == j]
+    through_lower = [i for i, j in enumerate(lower) if i == j]
+    for a, b in zip(through_upper, through_lower):
+        labels[n + b] = a
+    return Bipartition(n, labels)
+
+
+def tl_partners(x):
+    """The partner array of a TL diagram: entry p is the other point of
+    the pair holding point p (upper points 0..n-1, lower n..2n-1)."""
+    partner = list(range(2 * x.degree))
+    for a, b in x.blocks():
+        partner[a], partner[b] = b, a
+    return partner

@@ -141,6 +141,38 @@ def test_fern_tl12(tmp_path, capsys):
         "55495a400d932b8f02fc73c1d32f2cb7e9ee1f6c2b7cab9f3b40f54290607367")
 
 
+@pytest.mark.parametrize("n,k,side,cells,digest", [
+    (13, 6, 429, 184041,
+     "6785f8b89283bd8008018588548c033831ebf4e0da5efc275988e9c6817609cf"),
+    (14, 6, 1001, 617143,
+     "57d982ebf5b43273b1937e4afd021142475ba9d087bd024cf87931c02344c8c4"),
+    pytest.param(16, 7, 3432, 7154772,
+                 "21468c202272f62c21f0aa75000bcb811fb3515d0089b38e4a0ca3b97eb87f85",
+                 marks=pytest.mark.stretch),
+])
+def test_fern_past_tl12(tmp_path, capsys, n, k, side, cells, digest):
+    path = tmp_path / "fern.pgm"
+    code, out, _ = run_cli(capsys, "fern", n, k, "--out", path)
+    assert code == 0
+    assert (f"TL_{n} D[{k}]: {side}x{side} bitmap, {cells} idempotent cells "
+            f"(brute-force {cells}, MATCH)") in out
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_fern_check_catches_a_wrong_cell(tmp_path, capsys, monkeypatch):
+    tl_fern = engine.tl_fern
+
+    def flipped(*args):
+        rows, cols, mask = tl_fern(*args)
+        mask[3, 5] = not mask[3, 5]
+        return rows, cols, mask
+
+    monkeypatch.setattr(engine, "tl_fern", flipped)
+    code, out, _ = run_cli(capsys, "fern", 8, 2, "--out", tmp_path / "fern.pgm")
+    assert code == 1
+    assert "MISMATCH" in out
+
+
 def test_fern_never_enumerates(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("fern must not enumerate TL_n")
@@ -171,9 +203,31 @@ def test_fern_bad_dclass(tmp_path, capsys):
 
 
 def test_fern_degree_cap(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "fern", "13", "1", "--out", tmp_path / "x.pgm")
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "fern", 18, 8, "--out", tmp_path / "x.pgm")
     assert code == 2
-    assert "TL_13 has 742900 elements, over the enumeration bound of 250000" in err
+    assert "TL_18 D[8] has 142420356 cells, over the fern cell bound of 16777216" in err
+    # 998,001 cells are in bound, but each orbit is 999,000 products of degree 1000
+    code, _, err = run_cli(capsys, "fern", 1000, 1, "--out", tmp_path / "x.pgm")
+    assert code == 2
+    assert ("each half-diagram orbit of TL_1000 D[1] has 999000 products, "
+            "over the orbit bound of 250000") in err
+    assert time.perf_counter() - start < 1.0
+    assert not (tmp_path / "x.pgm").exists()
+
+
+def test_fern_unwritable_out_is_an_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "fern", 4, 1, "--out", tmp_path / "no" / "x.pgm")
+    assert code == 2
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert "Traceback" not in err
+
+
+def test_green_unwritable_json_is_an_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "green", "T", 2, "--json", tmp_path / "no" / "g.json")
+    assert code == 2
+    assert "T_2: 4 elements" in out
+    assert err.startswith("error: ") and "No such file or directory" in err
 
 
 def test_unsupported_family_degree_errors(capsys):
@@ -257,9 +311,11 @@ def test_census_bound_leaves_order_alone(capsys, monkeypatch):
 def test_census_bound_leaves_fern_alone(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "200")
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, "fern", 13, 1, "--out", tmp_path / "x.pgm")
-    assert code == 2 and "742900 elements" in err
+    code, _, err = run_cli(capsys, "fern", 18, 8, "--out", tmp_path / "x.pgm")
+    assert code == 2 and "142420356 cells" in err and "200" not in err
     assert time.perf_counter() - start < 1.0
+    code, out, _ = run_cli(capsys, "fern", 8, 2, "--out", tmp_path / "x.pgm")
+    assert code == 0 and "20x20 bitmap" in out and "MATCH" in out
 
 
 @pytest.mark.parametrize("family,n,order", [("T", 7, 823543), ("P", 6, 4213597)])

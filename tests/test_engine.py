@@ -19,8 +19,9 @@ from diagsemi.engine import (
     is_ideal,
     principal_ideals,
     rees_quotient,
-    tl_diagram,
+    tl_cell_diagrams,
     tl_fern,
+    tl_products,
 )
 
 from .conftest import monoid
@@ -33,6 +34,8 @@ from .oracles import (
     brute_principal_ideals,
     brute_r_classes,
     is_two_sided_ideal,
+    tl_diagram,
+    tl_partners,
     _partition_key,
 )
 
@@ -229,12 +232,27 @@ def test_tl_fern_matches_enumerated_eggbox(n):
             assert upper_of.setdefault(green.r_class[i], upper) == upper
             assert lower_of.setdefault(green.l_class[i], lower) == lower
         rows, cols, mask = tl_fern(gens, k)
-        assert rows == [upper_of[c] for c in box.row_classes]
-        assert cols == [lower_of[c] for c in box.col_classes]
+        uppers, lowers = list(map(tuple, rows.tolist())), list(map(tuple, cols.tolist()))
+        assert uppers == [upper_of[c] for c in box.row_classes]
+        assert lowers == [lower_of[c] for c in box.col_classes]
         assert np.array_equal(mask, box.idempotent_mask)
-        assert [[[S.index[tl_diagram(u, v)]] for v in cols] for u in rows] == box.cells
+        diagrams = [[tl_diagram(u, v) for v in lowers] for u in uppers]
+        assert [[[S.index[x]] for x in row] for row in diagrams] == box.cells
+        assert tl_cell_diagrams(rows, cols).tolist() == [
+            tl_partners(x) for row in diagrams for x in row]
     with pytest.raises(ValueError):
         tl_fern(gens, n // 2 + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tl_products_match_bipartition_products(n):
+    S = monoid("TL", n)
+    rng = np.random.default_rng(n)
+    pairs = rng.integers(len(S), size=(2000, 2))
+    xs, ys = ([S.elements[i] for i in column] for column in pairs.T)
+    products = tl_products(np.array([tl_partners(x) for x in xs]),
+                           np.array([tl_partners(y) for y in ys]))
+    assert products.tolist() == [tl_partners(x * y) for x, y in zip(xs, ys)]
 
 
 @pytest.mark.parametrize("n", range(1, 11))
