@@ -6,14 +6,9 @@ from .elements import (
     PBR,
     PointPermutation,
     bipartition_from_pbr,
-    bipartition_product,
     classify,
     conjugate,
-    element_product,
     is_planar,
-    pbr_from_bipartition,
-    pbr_identity,
-    pbr_product,
     rank,
 )
 from .embeddings import embed, realize
@@ -26,9 +21,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bipartition", "MapElement", "PBR", "PointPermutation",
-    "bipartition_from_pbr", "bipartition_product", "classify", "conjugate",
-    "element_product", "is_planar", "pbr_from_bipartition", "pbr_identity",
-    "pbr_product", "rank", "embed", "realize", "family_order",
+    "bipartition_from_pbr", "classify", "conjugate", "is_planar", "rank",
+    "embed", "realize", "family_order",
     "standard_generators", "enumerate_family", "enumerate_semigroup",
     "green_structure", "idempotents", "all_subsemigroup_masks",
     "census_up_to_conjugacy", "subgroup_census", "symmetry_group",

@@ -47,8 +47,6 @@ ENUMERATION_MAX_ELEMENTS = 250_000
 # The symmetry group is found by trying all n! point permutations.
 SYMMETRY_MAX_DEGREE = 8
 
-_KERNELS = Backend()
-
 
 def check_bound(n, bound, kind, what="ambient", unit="elements"):
     """The one refusal of every bound: ``what`` has ``n`` ``unit``, more
@@ -101,14 +99,14 @@ def symmetry_group(S: EnumeratedSemigroup) -> SymmetryGroup:
     return SymmetryGroup(kept, np.vstack(rows))
 
 
-def _closed_sets(table, mask, lo):
+def _closed_sets(kernels, mask, lo):
     """Every closed set of the Close-by-One subtree below the state
     (mask, lo), mask itself first."""
     yield mask
     work = [(mask, lo)]
     while work:
         mask, lo = work.pop()
-        for e, closed in _KERNELS.extend_window(table, mask, lo):
+        for e, closed in kernels.extend_window(mask, lo):
             yield closed
             work.append((closed, e + 1))
 
@@ -116,7 +114,8 @@ def _closed_sets(table, mask, lo):
 def all_subsemigroup_masks(S, max_elements=None):
     """Every product-closed subset of S, as a sorted list of bitmasks."""
     check_census_bound(len(S), max_elements)
-    return sorted(_closed_sets(S.multiplication_table(), 0, 0))
+    trivial_group = np.arange(len(S))[None]
+    return sorted(_closed_sets(Backend(S.multiplication_table(), trivial_group), 0, 0))
 
 
 @dataclass(frozen=True)
@@ -139,23 +138,24 @@ class CensusRecord:
         }
 
 
-# read by _census_subtree: a forked pool inherits it, so nothing in it is pickled
-_POOL_STATE = {}
+# (kernels, mask of the nontrivial permutations) of the running census,
+# read by _census_subtree: a forked pool inherits it, so nothing is pickled
+_AMBIENT = None
 
 
 def _census_subtree(state):
     """The records of the closed sets below ``state`` that are their own
     minimal image, and how many sets of the subtree each minimal image has."""
-    table, perms, perm_bits = (_POOL_STATE[k] for k in ("table", "perms", "perm_bits"))
+    kernels, perm_bits = _AMBIENT
     records, found = [], Counter()
-    for m in _closed_sets(table, *state):
-        rep, orbit = _KERNELS.min_image(m, perms)
+    for m in _closed_sets(kernels, *state):
+        rep, orbit = kernels.min_image(m)
         found[rep] += 1
         if rep == m:
             records.append(CensusRecord(
                 mask=m, orbit_size=orbit, size=bin(m).count("1"),
-                d_classes=_KERNELS.count_dclasses(table, m),
-                idempotents=_KERNELS.count_idempotents(table, m),
+                d_classes=kernels.count_dclasses(m),
+                idempotents=kernels.count_idempotents(m),
                 has_nontrivial_perm=bool(m & perm_bits)))
     return records, found
 
@@ -163,22 +163,24 @@ def _census_subtree(state):
 def census_up_to_conjugacy(S, G=None, max_elements=None, jobs=1):
     """One record per conjugacy class of subsemigroups, ordered by
     representative mask; returns (records, raw_total)."""
+    global _AMBIENT
     check_census_bound(len(S), max_elements)
     if G is None:
         G = symmetry_group(S)
-    table = S.multiplication_table()
+    kernels = Backend(S.multiplication_table(), G.index_perms)
     perm_bits = sum(1 << i for i, x in enumerate(S.elements) if is_nontrivial_permutation(x))
-    _POOL_STATE.update(table=table, perms=G.index_perms, perm_bits=perm_bits)
+    _AMBIENT = kernels, perm_bits
 
-    # the empty set alone, here: this builds the kernels' tables before a fork
-    records, found = _census_subtree((0, len(S)))
-    states = [(closed, e + 1) for e, closed in _KERNELS.extend_window(table, 0, 0)]
+    # the empty set alone, then each subtree below it
+    states = [(0, len(S))] + [(closed, e + 1) for e, closed in kernels.extend_window(0, 0)]
+    records, found = [], Counter()
     jobs = min(jobs, os.cpu_count() or 1)
     with multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
         # one subtree per task, as their sizes differ by orders of magnitude
         for part, counts in (pool.imap_unordered if pool else map)(_census_subtree, states):
             records += part
             found.update(counts)  # Counter.update adds where dict.update overwrites
+    _AMBIENT = None  # the tables are not kept past the call
     records.sort(key=lambda r: r.mask)
 
     raw_total = sum(found.values())

@@ -13,10 +13,11 @@ before it builds generators or enumerates anything: ``census`` the order
 with the census bound (64 elements, overridden by DIAGSEMI_MAX_ELEMENTS),
 ``order`` and ``green`` the order with the fixed enumeration bound of
 250,000 elements.  ``fern`` never enumerates TL_n: it bounds its bitmap
-by FERN_MAX_CELLS and each of its two half-diagram orbits, in generator
-products, by the enumeration bound.  ``order`` then skips its
-enumeration; ``census``, ``green`` and ``fern`` exit 2, as they do when
-an output file cannot be written.
+by FERN_MAX_CELLS (2^24 cells) and each of its two half-diagram orbits,
+in point-products (generator products times their degree n), by
+FERN_MAX_POINT_PRODUCTS (2^22).  ``order`` then skips its enumeration;
+``census``, ``green`` and ``fern`` exit 2, as they do when an output
+file cannot be written.
 
 Exit status is 0 only when every verification the command performs
 reports MATCH.
@@ -35,6 +36,9 @@ from .formulas import ballot, binomial, decimal_string, family_order
 
 # the largest fern bitmap, in cells: 16 MiB of mask
 FERN_MAX_CELLS = 1 << 24
+# the largest half-diagram orbit, in generator products times their degree:
+# admits fern 16 7 (2,745,600) and fern 200 0 (39,800), a few seconds at most
+FERN_MAX_POINT_PRODUCTS = 1 << 22
 # peak bytes of the check's temporaries per cell and degree, as measured
 # on TL_10 and TL_14 (17-23)
 _CHECK_CELL_BYTES = 24
@@ -168,14 +172,13 @@ def cmd_green(args):
 def _check_fern(n, k):
     """Refuse ``fern n k`` before any work when its bitmap or either of
     its half-diagram orbits is over its bound: ballot(n, k)^2 cells, and
-    C(n, k) halves per side times n - 1 generator products."""
+    C(n, k) halves per side times n - 1 generator products of degree n."""
     what = f"TL_{n} D[{k}]"
     census_mod.check_bound(ballot(n, k) ** 2, FERN_MAX_CELLS, "fern cell",
                            what=what, unit="cells")
-    census_mod.check_bound(binomial(n, k) * (n - 1),
-                           census_mod.ENUMERATION_MAX_ELEMENTS, "orbit",
-                           what=f"each half-diagram orbit of {what}",
-                           unit="products")
+    census_mod.check_bound(binomial(n, k) * (n - 1) * n, FERN_MAX_POINT_PRODUCTS,
+                           "orbit", what=f"each half-diagram orbit of {what}",
+                           unit="point-products")
 
 
 def _idempotent_cells(rows, cols):

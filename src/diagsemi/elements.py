@@ -18,6 +18,8 @@ Elements are immutable and hashable.
 
 from __future__ import annotations
 
+from collections import Counter
+
 
 # Family codes used throughout the library and on the CLI.
 #   PB  partitioned binary relations     B   binary relations
@@ -241,14 +243,6 @@ class PBR:
         return f"PBR({self.degree}, edges={self.edges()})"
 
 
-def pbr_identity(n: int) -> PBR:
-    return PBR.identity(n)
-
-
-def pbr_product(a: PBR, b: PBR) -> PBR:
-    return a * b
-
-
 def all_pbrs(n: int):
     """All 2^((2n)^2) PBRs of degree n.  Only sane for n = 1."""
     m = 2 * n
@@ -380,10 +374,6 @@ def _canonical_assignment(assignment):
     return tuple(out)
 
 
-def bipartition_product(a: Bipartition, b: Bipartition) -> Bipartition:
-    return a * b
-
-
 def rank(b: Bipartition) -> int:
     """Number of transverse blocks (blocks meeting both rows)."""
     n = b.degree
@@ -394,23 +384,22 @@ def rank(b: Bipartition) -> int:
 
 def is_planar(b: Bipartition) -> bool:
     """True iff the blocks are non-crossing in the boundary cyclic order
-    1, 2, ..., n, n', (n-1)', ..., 1'."""
+    1, 2, ..., n, n', (n-1)', ..., 1': one scan of the points in that
+    order, with a stack of the blocks begun and not yet finished."""
     n = b.degree
-    pos_of = list(range(n)) + [n + (n - 1 - i) for i in range(n)]
-    blocks = b.blocks()
-    positioned = [sorted(pos_of[p] for p in blk) for blk in blocks]
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if _blocks_cross(positioned[i], positioned[j]):
+    boundary = b.assignment[:n] + b.assignment[n:][::-1]
+    left = Counter(boundary)  # points of each block not yet scanned
+    begun, stack = set(), []
+    for blk in boundary:
+        if not stack or stack[-1] != blk:
+            if blk in begun:  # resumed under a block begun since: they cross
                 return False
+            begun.add(blk)
+            stack.append(blk)
+        left[blk] -= 1
+        if not left[blk]:
+            stack.pop()
     return True
-
-
-def _blocks_cross(pos_a, pos_b):
-    merged = sorted([(p, 0) for p in pos_a] + [(p, 1) for p in pos_b])
-    labels = [lab for _, lab in merged]
-    changes = sum(1 for k in range(len(labels)) if labels[k] != labels[k - 1])
-    return changes >= 4
 
 
 class MapElement:
@@ -545,10 +534,6 @@ class MapElement:
         return f"MapElement({self.degree}, {self.kind!r}, {list(self.data)})"
 
 
-def element_product(x: MapElement, y: MapElement) -> MapElement:
-    return x * y
-
-
 def all_relations(n: int):
     """All 2^(n^2) binary relations of degree n.  Only sane for n <= 2."""
     for code in range(1 << (n * n)):
@@ -655,10 +640,6 @@ def bipartition_from_pbr(pbr: PBR) -> Bipartition:
         r = next(bit_indices(pbr.rows[a]))
         assignment.append(roots.setdefault(r, len(roots)))
     return Bipartition(n, assignment)
-
-
-def pbr_from_bipartition(b: Bipartition) -> PBR:
-    return b.to_pbr()
 
 
 def is_nontrivial_permutation(x) -> bool:

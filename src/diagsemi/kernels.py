@@ -20,13 +20,11 @@ rows g and the elements y of the chunk whose bits are set in b, so all
 canonicity test stops a closure at the first element below the one
 adjoined, so the closures it drops cost little.
 
-A ``Backend`` keeps the tables of the last multiplication table and of
-the last permutation array it saw, one entry for each kind of table:
-product tables, the idempotent mask, image tables.  The cache compares
-by identity and holds a strong reference to the array, so an id can
-never be reused while its tables are cached; an array must not be
-changed in place once a kernel has seen it.  Building the tables before
-a fork lets the pool's children inherit them.
+A ``Backend`` holds the tables of one ambient (its multiplication table
+and the element-index permutations of its symmetry group), all built
+once by its constructor: product tables, the idempotent mask, image
+tables.  ``census`` builds one per call, before any fork, so the pool's
+workers inherit them.
 """
 
 from functools import reduce
@@ -101,47 +99,43 @@ def _closure(products, mask, nib, first):
 
 
 class Backend:
-    """The census mask kernels; masks are python ints at the boundary.
+    """The census mask kernels over one ambient; masks are python ints at
+    the boundary.  Patching these methods on the class reaches every
+    kernel call."""
 
-    ``census`` calls them through one module-level instance, so patching
-    these methods on the class reaches every kernel call."""
+    def __init__(self, table, perms):
+        rows, perm_rows = table.tolist(), perms.tolist()
+        self._products = _product_tables(rows)
+        self._idempotents = _idempotents(rows)
+        self._images = _image_tables(perm_rows)
+        self._width = len(self._images)  # 4-bit chunks of a mask
+        self._order, self._n = len(perm_rows), len(rows)
 
-    def __init__(self):
-        self._cache = {}  # table builder -> (array, its tables)
-
-    def _tables(self, build, array):
-        cached, tables = self._cache.get(build, (None, None))
-        if cached is not array:
-            tables = build(array.tolist())
-            self._cache[build] = (array, tables)
-        return tables
-
-    def extend_window(self, table, mask, lo):
+    def extend_window(self, mask, lo):
         """``(e, closure of mask + e)`` for each e >= lo not in mask whose
         closure gains no element below e: the canonical children of mask."""
-        products = self._tables(_product_tables, table)
-        nib = _nibbles(mask, len(products[0]))
-        return [(e, closed) for e in range(lo, len(products)) if not mask >> e & 1
+        products = self._products
+        nib = _nibbles(mask, self._width)
+        return [(e, closed) for e in range(lo, self._n) if not mask >> e & 1
                 and (closed := _closure(products, mask, nib, e)) is not None]
 
-    def min_image(self, mask, perms):
-        """Minimal image of ``mask`` under the rows of ``perms``, and the
-        number of distinct images (the orbit size)."""
-        tables = self._tables(_image_tables, perms)
-        packed = _lookup(tables, _nibbles(mask, len(tables)))
-        order, n = perms.shape
+    def min_image(self, mask):
+        """Minimal image of ``mask`` under the permutations, and the number
+        of distinct images (the orbit size)."""
+        packed = _lookup(self._images, _nibbles(mask, self._width))
+        n = self._n
         full = (1 << n) - 1
-        images = {packed >> (g * n) & full for g in range(order)}
+        images = {packed >> (g * n) & full for g in range(self._order)}
         return min(images), len(images)
 
-    def count_idempotents(self, table, mask):
-        return (mask & self._tables(_idempotents, table)).bit_count()
+    def count_idempotents(self, mask):
+        return (mask & self._idempotents).bit_count()
 
-    def count_dclasses(self, table, mask):
+    def count_dclasses(self, mask):
         """Number of D-classes of the subsemigroup ``mask``: its distinct
         principal two-sided ideals."""
-        products = self._tables(_product_tables, table)
-        nib = _nibbles(mask, len(products[0]))
+        products = self._products
+        nib = _nibbles(mask, self._width)
         succ = {x: _lookup(products[x], nib) for x in bit_indices(mask)}
         # the ideal of t is {t} | tT | Tt | TtT, and TtT = T(tT) lies in
         # the successors of tT, so two steps from t reach all of it

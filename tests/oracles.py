@@ -183,6 +183,24 @@ def all_brauer_diagrams(n):
         yield Bipartition.from_blocks(n, matching)
 
 
+def is_planar_pairwise(b: Bipartition) -> bool:
+    """Planarity by definition: no two blocks cross in the boundary cyclic
+    order 1, 2, ..., n, n', (n-1)', ..., 1'."""
+    n = b.degree
+    pos_of = list(range(n)) + [n + (n - 1 - i) for i in range(n)]
+    positioned = [sorted(pos_of[p] for p in blk) for blk in b.blocks()]
+    return not any(_blocks_cross(pa, pb) for pa, pb in combinations(positioned, 2))
+
+
+def _blocks_cross(pos_a, pos_b):
+    """Two blocks cross iff their points alternate at least four times
+    around the circle."""
+    merged = sorted([(p, 0) for p in pos_a] + [(p, 1) for p in pos_b])
+    labels = [lab for _, lab in merged]
+    changes = sum(1 for k in range(len(labels)) if labels[k] != labels[k - 1])
+    return changes >= 4
+
+
 def tl_diagram(upper, lower):
     """The TL diagram with the given upper and lower halves, through lines
     joined in order.  A half is a tuple: entry i is the other end of the

@@ -1,3 +1,4 @@
+import os
 import random
 import time
 
@@ -14,7 +15,7 @@ from diagsemi.census import (
 )
 from diagsemi.elements import MapElement
 from diagsemi.engine import enumerate_semigroup
-from diagsemi.kernels import Backend
+from diagsemi.kernels import Backend, _product_tables
 
 from .conftest import monoid
 from .oracles import brute_closed_subsets, is_closed
@@ -140,21 +141,21 @@ def test_symmetry_group_closed_under_composition():
 def test_orbit_sum_identity_and_minimal_image():
     S = monoid("P", 2)
     G = symmetry_group(S)
-    kernels = Backend()
+    kernels = Backend(S.multiplication_table(), G.index_perms)
     records, raw = census_up_to_conjugacy(S, G=G)
     assert sum(r.orbit_size for r in records) == raw
     rng = random.Random(17)
     masks = all_subsemigroup_masks(S)
     for mask in rng.sample(masks, 60):
-        rep, orbit = kernels.min_image(mask, G.index_perms)
-        again, _ = kernels.min_image(rep, G.index_perms)
+        rep, orbit = kernels.min_image(mask)
+        again, _ = kernels.min_image(rep)
         assert again == rep  # idempotent
         for row in G.index_perms:
             image = 0
             for i in range(len(S)):
                 if mask >> i & 1:
                     image |= 1 << int(row[i])
-            assert kernels.min_image(image, G.index_perms)[0] == rep
+            assert kernels.min_image(image)[0] == rep
 
 
 def test_subgroup_census_values():
@@ -226,25 +227,45 @@ def test_census_refuses_an_incomplete_search(monkeypatch):
     minimal image leaves its class short, and a lost representative leaves
     its orbit counted without a record."""
     S = monoid("T", 3)
-    table = S.multiplication_table()
     G = symmetry_group(S)
-    kernels = Backend()
+    kernels = Backend(S.multiplication_table(), G.index_perms)
     leaves, work = [], [(0, 0)]
     while work:
         mask, lo = work.pop()
-        for e, c in kernels.extend_window(table, mask, lo):
+        for e, c in kernels.extend_window(mask, lo):
             work.append((c, e + 1))
-            if not kernels.extend_window(table, c, e + 1):
+            if not kernels.extend_window(c, e + 1):
                 leaves.append(c)
-    images = {c: kernels.min_image(c, G.index_perms) for c in leaves}
+    images = {c: kernels.min_image(c) for c in leaves}
     not_minimal = next(c for c in leaves if images[c][0] != c)
     representative = next(c for c in leaves if images[c][0] == c and images[c][1] > 1)
     extend = Backend.extend_window
     for dropped, guard in ((not_minimal, "^orbit of"), (representative, "without their set")):
-        monkeypatch.setattr(Backend, "extend_window", lambda self, table, mask, lo: [
-            (e, c) for e, c in extend(self, table, mask, lo) if c != dropped])
+        monkeypatch.setattr(Backend, "extend_window", lambda self, mask, lo: [
+            (e, c) for e, c in extend(self, mask, lo) if c != dropped])
         with pytest.raises(AssertionError, match=guard):
             census_up_to_conjugacy(S, G=G)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_census_builds_the_product_tables_once_in_the_caller(monkeypatch, tmp_path, jobs):
+    """Each census call builds its product tables once, in the calling
+    process: forked workers inherit them.  Builds are logged to a file,
+    so a build in a worker would show up under the worker's pid."""
+    log = tmp_path / "builds"
+
+    def logged(rows):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return _product_tables(rows)
+
+    monkeypatch.setattr("diagsemi.kernels._product_tables", logged)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    S = monoid("T", 3)
+    for _ in range(2):
+        records, _ = census_up_to_conjugacy(S, jobs=jobs)
+        assert len(records) == 283
+    assert log.read_text().split() == [str(os.getpid())] * 2
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch):

@@ -210,10 +210,23 @@ def test_fern_degree_cap(tmp_path, capsys):
     # 998,001 cells are in bound, but each orbit is 999,000 products of degree 1000
     code, _, err = run_cli(capsys, "fern", 1000, 1, "--out", tmp_path / "x.pgm")
     assert code == 2
-    assert ("each half-diagram orbit of TL_1000 D[1] has 999000 products, "
-            "over the orbit bound of 250000") in err
+    assert ("each half-diagram orbit of TL_1000 D[1] has 999000000 point-products, "
+            "over the orbit bound of 4194304") in err
+    # 249,500 products of degree 500: about a minute of orbit
+    code, _, err = run_cli(capsys, "fern", 500, 1, "--out", tmp_path / "x.pgm")
+    assert code == 2
+    assert ("each half-diagram orbit of TL_500 D[1] has 124750000 point-products, "
+            "over the orbit bound of 4194304") in err
     assert time.perf_counter() - start < 1.0
     assert not (tmp_path / "x.pgm").exists()
+
+
+def test_fern_of_a_wide_single_cell(tmp_path, capsys):
+    """TL_200 D[0] is the identity alone: 199 generators of degree 200
+    and one cell, in bound and quick to check."""
+    code, out, _ = run_cli(capsys, "fern", 200, 0, "--out", tmp_path / "x.pgm")
+    assert code == 0
+    assert "TL_200 D[0]: 1x1 bitmap, 1 idempotent cells (brute-force 1, MATCH)" in out
 
 
 def test_fern_unwritable_out_is_an_error(tmp_path, capsys):

@@ -13,25 +13,23 @@ from diagsemi.elements import (
     classify,
     conjugate,
     is_planar,
-    pbr_from_bipartition,
-    pbr_identity,
     rank,
 )
 from diagsemi.formulas import catalan, double_factorial_odd
 
-from .oracles import all_brauer_diagrams, pbr_product_by_walks
+from .oracles import all_brauer_diagrams, is_planar_pairwise, pbr_product_by_walks
 
 
 def test_pbr_identity_edges():
-    one = pbr_identity(1)
+    one = PBR.identity(1)
     assert set(one.edges()) == {(0, 1), (1, 0)}
-    three = pbr_identity(3)
+    three = PBR.identity(3)
     assert set(three.edges()) == {(i, i + 3) for i in range(3)} | {(i + 3, i) for i in range(3)}
 
 
 def test_pbr_identity_law_sampled_degree2():
     rng = random.Random(7)
-    ident = pbr_identity(2)
+    ident = PBR.identity(2)
     for _ in range(1000):
         x = PBR(2, [rng.getrandbits(4) for _ in range(4)])
         assert ident * x == x
@@ -51,7 +49,7 @@ def test_pbr_degree1_closed_and_oracle_exact():
 
 def test_pbr_product_degree_mismatch():
     with pytest.raises(ValueError):
-        pbr_identity(2) * pbr_identity(3)
+        PBR.identity(2) * PBR.identity(3)
 
 
 def test_pbr_rejects_degree_zero():
@@ -65,7 +63,7 @@ def test_pbr_rejects_degree_zero():
 
 def test_classify_identity_is_in_every_family():
     for n in (1, 2, 3, 4):
-        assert classify(pbr_identity(n)) == {"PB", "B", "PT", "T", "I", "S", "P", "IS", "Br", "TL"}
+        assert classify(PBR.identity(n)) == {"PB", "B", "PT", "T", "I", "S", "P", "IS", "Br", "TL"}
 
 
 def test_classify_figure_example():
@@ -102,13 +100,13 @@ def test_classify_monotone_along_hasse():
 
 def test_bipartition_roundtrip_identity_and_full():
     ident = Bipartition.identity(3)
-    p = pbr_from_bipartition(ident)
+    p = ident.to_pbr()
     # full closure: block cliques plus loops
     assert p.has_edge(0, 0) and p.has_edge(0, 3) and p.has_edge(3, 0)
     assert bipartition_from_pbr(p) == ident
 
     single = Bipartition.from_blocks(2, [(0, 1, 2, 3)])
-    q = pbr_from_bipartition(single)
+    q = single.to_pbr()
     assert all(q.has_edge(a, b) for a in range(4) for b in range(4))
     assert bipartition_from_pbr(q) == single
 
@@ -117,12 +115,12 @@ def test_bipartition_roundtrip_all_of_p2(get_monoid):
     P2 = get_monoid("P", 2)
     assert len(P2) == 15
     for b in P2.elements:
-        assert bipartition_from_pbr(pbr_from_bipartition(b)) == b
+        assert bipartition_from_pbr(b.to_pbr()) == b
 
 
 def test_bipartition_from_pbr_rejects_with_reason():
     with pytest.raises(ValueError, match="reflexive"):
-        bipartition_from_pbr(pbr_identity(2))
+        bipartition_from_pbr(PBR.identity(2))
     with pytest.raises(ValueError, match="symmetric"):
         bipartition_from_pbr(PBR.from_edges(1, [(0, 0), (1, 1), (0, 1)]))
     loops = [(a, a) for a in range(6)]
@@ -142,6 +140,18 @@ def test_planar_brauer_count_is_catalan(n, expected):
     assert len(diagrams) == double_factorial_odd(n)
     planar = [d for d in diagrams if is_planar(d)]
     assert len(planar) == catalan(n) == expected
+
+
+def test_planarity_scan_matches_pairwise_oracle():
+    diagrams = [d for n in range(1, 6) for d in all_brauer_diagrams(n)]
+    rng = random.Random(11)
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        k = rng.randint(1, 2 * n)  # few blocks make planar diagrams common
+        diagrams.append(Bipartition(n, [rng.randrange(k) for _ in range(2 * n)]))
+    verdicts = [is_planar(d) for d in diagrams]
+    assert verdicts == [is_planar_pairwise(d) for d in diagrams]
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
 
 def test_rank():
