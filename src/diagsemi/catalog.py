@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from . import elements as el
 from .elements import Bipartition, MapElement, PBR, classify
 
-_FLAG_FOR_FAMILY = dict(zip(el.FAMILY_CODES, el.FAMILY_CODES))
-
 
 @dataclass(frozen=True)
 class GeneratorSet:
@@ -36,7 +34,7 @@ class GeneratorSet:
 
     def __post_init__(self):
         for lab, g in zip(self.labels, self.elements):
-            if _FLAG_FOR_FAMILY[self.family] not in classify(g):
+            if self.family not in classify(g):
                 raise ValueError(
                     f"generator {lab!r} fails the {self.family} membership test"
                 )
@@ -61,13 +59,7 @@ def family_identity(family: str, n: int):
         return PBR.identity(n)
     if family in ("P", "IS", "Br", "TL"):
         return Bipartition.identity(n)
-    if family == "B":
-        return MapElement.identity(n, "relation")
-    return MapElement.identity(n, _MAP_KIND[family])
-
-
-_MAP_KIND = {"PT": "partial", "T": "transformation", "I": "partial_perm",
-             "S": "permutation"}
+    return MapElement.identity(n, el.MAP_KIND[family])
 
 
 def _perm_images(n):

@@ -28,7 +28,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .elements import PointPermutation, conjugate, is_nontrivial_permutation
+from .elements import PointPermutation, conjugate
 from .engine import EnumeratedSemigroup
 from .formulas import decimal_string
 from .kernels import Backend
@@ -99,6 +99,14 @@ def symmetry_group(S: EnumeratedSemigroup) -> SymmetryGroup:
     return SymmetryGroup(kept, np.vstack(rows))
 
 
+def _units(table):
+    """The indices of the units of a monoid with identity 0, ascending:
+    the elements whose table row holds 0 (in a finite monoid a one-sided
+    inverse is two-sided).  In every family here they are the
+    permutation diagrams."""
+    return np.flatnonzero((table == 0).any(axis=1))
+
+
 def _closed_sets(kernels, mask, lo):
     """Every closed set of the Close-by-One subtree below the state
     (mask, lo), mask itself first."""
@@ -138,7 +146,7 @@ class CensusRecord:
         }
 
 
-# (kernels, mask of the nontrivial permutations) of the running census,
+# (kernels, mask of the non-identity units) of the running census,
 # read by _census_subtree: a forked pool inherits it, so nothing is pickled
 _AMBIENT = None
 
@@ -167,20 +175,21 @@ def census_up_to_conjugacy(S, G=None, max_elements=None, jobs=1):
     check_census_bound(len(S), max_elements)
     if G is None:
         G = symmetry_group(S)
-    kernels = Backend(S.multiplication_table(), G.index_perms)
-    perm_bits = sum(1 << i for i, x in enumerate(S.elements) if is_nontrivial_permutation(x))
-    _AMBIENT = kernels, perm_bits
-
-    # the empty set alone, then each subtree below it
-    states = [(0, len(S))] + [(closed, e + 1) for e, closed in kernels.extend_window(0, 0)]
-    records, found = [], Counter()
-    jobs = min(jobs, os.cpu_count() or 1)
-    with multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
-        # one subtree per task, as their sizes differ by orders of magnitude
-        for part, counts in (pool.imap_unordered if pool else map)(_census_subtree, states):
-            records += part
-            found.update(counts)  # Counter.update adds where dict.update overwrites
-    _AMBIENT = None  # the tables are not kept past the call
+    table = S.multiplication_table()
+    kernels = Backend(table, G.index_perms)
+    _AMBIENT = kernels, sum(1 << int(i) for i in _units(table)[1:])
+    try:
+        # the empty set alone, then each subtree below it
+        states = [(0, len(S))] + [(closed, e + 1) for e, closed in kernels.extend_window(0, 0)]
+        records, found = [], Counter()
+        jobs = min(jobs, os.cpu_count() or 1)
+        with multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
+            # one subtree per task, as their sizes differ by orders of magnitude
+            for part, counts in (pool.imap_unordered if pool else map)(_census_subtree, states):
+                records += part
+                found.update(counts)  # Counter.update adds where dict.update overwrites
+    finally:
+        _AMBIENT = None  # the tables are not kept past the call, nor past a failure
     records.sort(key=lambda r: r.mask)
 
     raw_total = sum(found.values())
@@ -199,9 +208,7 @@ def subgroup_census(S, G=None, max_elements=None, jobs=1):
     this is the subsemigroup census with the empty set dropped (the one
     row of the published table that excludes it)."""
     check_census_bound(len(S), max_elements)
-    table = S.multiplication_table()
-    # every element needs a two-sided inverse: a y with xy = yx = 1
-    if not ((table == 0) & (table.T == 0)).any(axis=1).all():
+    if len(_units(S.multiplication_table())) != len(S):
         raise ValueError("ambient is not a group")
     records, _ = census_up_to_conjugacy(S, G=G, max_elements=max_elements,
                                         jobs=jobs)

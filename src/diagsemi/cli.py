@@ -13,8 +13,8 @@ before it builds generators or enumerates anything: ``census`` the order
 with the census bound (64 elements, overridden by DIAGSEMI_MAX_ELEMENTS),
 ``order`` and ``green`` the order with the fixed enumeration bound of
 250,000 elements.  ``fern`` never enumerates TL_n: it bounds its bitmap
-by FERN_MAX_CELLS (2^24 cells) and each of its two half-diagram orbits,
-in point-products (generator products times their degree n), by
+by FERN_MAX_CELLS (2^24 cells) and its one half-diagram orbit, in
+point-products (generator products times their degree n), by
 FERN_MAX_POINT_PRODUCTS (2^22).  ``order`` then skips its enumeration;
 ``census``, ``green`` and ``fern`` exit 2, as they do when an output
 file cannot be written.
@@ -170,9 +170,9 @@ def cmd_green(args):
 
 
 def _check_fern(n, k):
-    """Refuse ``fern n k`` before any work when its bitmap or either of
-    its half-diagram orbits is over its bound: ballot(n, k)^2 cells, and
-    C(n, k) halves per side times n - 1 generator products of degree n."""
+    """Refuse ``fern n k`` before any work when its bitmap or its
+    half-diagram orbit is over its bound: ballot(n, k)^2 cells, and
+    C(n, k) halves times n - 1 generator products of degree n."""
     what = f"TL_{n} D[{k}]"
     census_mod.check_bound(ballot(n, k) ** 2, FERN_MAX_CELLS, "fern cell",
                            what=what, unit="cells")

@@ -42,7 +42,10 @@ FAMILY_NAMES = {
     "TL": "Temperley-Lieb monoid",
 }
 
-MAP_KINDS = ("relation", "partial", "transformation", "partial_perm", "permutation")
+# The map kind of each family of top-to-bottom diagrams.
+MAP_KIND = {"B": "relation", "PT": "partial", "T": "transformation",
+            "I": "partial_perm", "S": "permutation"}
+MAP_KINDS = tuple(MAP_KIND.values())
 
 # Constraint lattice of the map kinds, bottom to top:
 # permutation < transformation, partial_perm < partial < relation.
@@ -455,23 +458,6 @@ class MapElement:
             return MapElement.identity(self.degree, "relation")
         return MapElement.identity(self.degree)
 
-    def is_total(self) -> bool:
-        if self.kind == "relation":
-            return all(r != 0 for r in self.data)
-        return None not in self.data
-
-    def is_injective_map(self) -> bool:
-        if self.kind == "relation":
-            raise ValueError("injectivity test is for map kinds")
-        defined = [v for v in self.data if v is not None]
-        return len(set(defined)) == len(defined)
-
-    def is_permutation(self) -> bool:
-        """Semantic test: totally defined and bijective (any kind)."""
-        if self.kind == "relation":
-            return sorted(self.data) == [1 << i for i in range(self.degree)]
-        return self.is_total() and self.is_injective_map()
-
     def _as_rows(self):
         if self.kind == "relation":
             return self.data
@@ -586,7 +572,6 @@ def classify(x) -> set:
     n = pbr.degree
     flags = {"PB"}
     stripped = _strip_loops(pbr.rows)
-    low_n = (1 << n) - 1
 
     down = tuple((stripped[a] >> n) << n if a < n else 0 for a in range(2 * n))
     sym = list(down)
@@ -610,7 +595,8 @@ def classify(x) -> set:
 
     if _equivalence_failure(stripped, n) is None:
         flags.add("P")
-        bip = bipartition_from_pbr(PBR(n, [stripped[a] | (1 << a) for a in range(2 * n)]))
+        # the loop-closed row of a point is the mask of its block: a block label
+        bip = Bipartition(n, [stripped[a] | (1 << a) for a in range(2 * n)])
         blocks = bip.blocks()
         if all(any(p < n for p in blk) and any(p >= n for p in blk) for blk in blocks):
             flags.add("IS")
@@ -640,25 +626,6 @@ def bipartition_from_pbr(pbr: PBR) -> Bipartition:
         r = next(bit_indices(pbr.rows[a]))
         assignment.append(roots.setdefault(r, len(roots)))
     return Bipartition(n, assignment)
-
-
-def is_nontrivial_permutation(x) -> bool:
-    """True iff x is a permutation diagram other than the identity."""
-    if isinstance(x, MapElement):
-        return x.is_permutation() and x != x.identity_element()
-    if isinstance(x, Bipartition):
-        blocks = x.blocks()
-        n = x.degree
-        if not all(len(b) == 2 and b[0] < n <= b[1] for b in blocks):
-            return False
-        return x != Bipartition.identity(n)
-    if isinstance(x, PBR):
-        if "S" not in classify(x):
-            return False
-        n = x.degree
-        stripped = _strip_loops(x.rows)
-        return any(stripped[i] >> n != 1 << i for i in range(n))
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ product then disagrees with composition, so that conversion is offered
 as a realization with homomorphism flag False.
 """
 
-from .elements import Bipartition, MapElement, PBR
+from .elements import MAP_KIND, Bipartition, MapElement, PBR
 
 # (source, target) -> homomorphism flag.  Sources/targets are family codes.
 SUPPORTED = {
@@ -42,17 +42,11 @@ SUPPORTED = {
     ("P", "PB"): True,
 }
 
-_KIND_OF_TARGET = {"B": "relation", "PT": "partial", "T": "transformation",
-                   "I": "partial_perm", "S": "permutation"}
-
-_SOURCE_OF_KIND = {"relation": "B", "partial": "PT", "transformation": "T",
-                   "partial_perm": "I", "permutation": "S"}
-
 
 def source_family(x) -> str:
     """The family container an element naturally lives in."""
     if isinstance(x, MapElement):
-        return _SOURCE_OF_KIND[x.kind]
+        return next(f for f, kind in MAP_KIND.items() if kind == x.kind)
     if isinstance(x, Bipartition):
         return "P"
     if isinstance(x, PBR):
@@ -76,8 +70,8 @@ def embed(x, target: str, source: str | None = None):
     if isinstance(x, MapElement):
         if target == "PB":
             return x.to_pbr(), True
-        if target in ("B", "PT", "T", "I", "S") and not (src == "PT" and target == "T"):
-            kind = _KIND_OF_TARGET[target]
+        if target in MAP_KIND and not (src == "PT" and target == "T"):
+            kind = MAP_KIND[target]
             if kind == "relation":
                 return MapElement(x.degree, "relation", x._as_rows()), True
             return MapElement(x.degree, kind, x.data), True

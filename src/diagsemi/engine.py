@@ -434,22 +434,27 @@ def _through(half):
     return [i for i, j in enumerate(half) if i == j]
 
 
-def _least_halves(gens, identity, r, wanted, upper):
-    """The ``wanted`` halves of rank r, ordered by the shortlex-least
-    generator word whose upper (or lower) half each one is: the order of
-    first members of the R- (or L-) classes in Froidure-Pin order."""
+def _least_halves(gens, identity, r, wanted):
+    """The ``wanted`` halves of rank r, twice ordered: by the
+    shortlex-least generator word whose upper half each one is, and by
+    the least word whose lower half it is.  These are the orders of the
+    first members of the R- and of the L-classes in Froidure-Pin order.
+
+    Every generator must be its own mirror image (upper and lower rows
+    swapped), as each e_i of TL_n is.  Mirroring reverses products, so
+    the lower half of x*g is the upper half of g*x', x' the mirror of x,
+    and the lower halves have the orbit and the action of the upper ones."""
     n = identity.degree
-    cut = slice(0, n) if upper else slice(n, 2 * n)
-    # the orbit of the identity's half, one representative per half of
-    # rank >= r, and the generators' action on it: g*rep on the left for
-    # upper halves, rep*g on the right for lower ones; below rank r is -1
-    reps, halves = [identity], [_half(identity.assignment[cut])]
+    # the orbit of the identity's upper half, one representative per half
+    # of rank >= r, and the generators' action g*rep on it; below rank r
+    # the action is -1
+    reps, halves = [identity], [_half(identity.assignment[:n])]
     index, action = {halves[0]: 0}, []
     for x in reps:
         row = []
         for g in gens:
-            y = g * x if upper else x * g
-            h = _half(y.assignment[cut])
+            y = g * x
+            h = _half(y.assignment[:n])
             j = index.get(h, -1)
             if j < 0 and len(_through(h)) >= r:
                 j = index[h] = len(reps)
@@ -462,26 +467,29 @@ def _least_halves(gens, identity, r, wanted, upper):
         raise AssertionError(f"the orbit holds {len(targets)} halves of rank {r}, "
                              f"not {wanted}")
 
-    # level L lists the halves with a word of exact length L, by their
-    # least such word: w = g.w' (upper) or w'.g (lower), ranked by the
-    # letter and the rank of w' at level L-1, letter first for upper
-    # halves as it leads the word.  Every half of the orbit has a word,
-    # so each target turns up at the length of its shortest one.
-    level, order = [0], []
-    while True:
-        for j in level:
-            if j in targets:
-                targets.remove(j)
-                order.append(halves[j])
-        if not targets:
-            return order
-        best = {}
-        for pos, i in enumerate(level):
-            for g, j in enumerate(action[i]):
-                key = (g, pos) if upper else (pos, g)
-                if j >= 0 and (j not in best or key < best[j]):
-                    best[j] = key
-        level = sorted(best, key=best.__getitem__)
+    def ranked(upper):
+        # level L lists the halves with a word of exact length L, by their
+        # least such word: w = g.w' (upper) or w'.g (lower), ranked by the
+        # letter and the rank of w' at level L-1, letter first for upper
+        # halves as it leads the word.  Every half of the orbit has a
+        # word, so each target turns up at the length of its shortest one.
+        left, level, order = set(targets), [0], []
+        while True:
+            for j in level:
+                if j in left:
+                    left.remove(j)
+                    order.append(halves[j])
+            if not left:
+                return order
+            best = {}
+            for pos, i in enumerate(level):
+                for g, j in enumerate(action[i]):
+                    key = (g, pos) if upper else (pos, g)
+                    if j >= 0 and (j not in best or key < best[j]):
+                        best[j] = key
+            level = sorted(best, key=best.__getitem__)
+
+    return ranked(upper=True), ranked(upper=False)
 
 
 def _small_ints(top):
@@ -531,8 +539,7 @@ def tl_fern(gens, position: int):
     letters = [g for g in dict.fromkeys(gens.elements) if g != identity]
     r = n - 2 * position
     side = ballot(n, position)
-    rows = _halves_array(_least_halves(letters, identity, r, side, upper=True), n)
-    cols = _halves_array(_least_halves(letters, identity, r, side, upper=False), n)
+    rows, cols = (_halves_array(h, n) for h in _least_halves(letters, identity, r, side))
 
     # a walk at point p takes u's cup to q and v's cup from q; point n is
     # where it stops, reached from every through point of u and fixed.

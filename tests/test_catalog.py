@@ -6,7 +6,13 @@ from diagsemi.catalog import (
     standard_generators,
     supports,
 )
-from diagsemi.elements import FAMILY_CODES, classify, element_from_json, element_to_json
+from diagsemi.elements import (
+    FAMILY_CODES,
+    Bipartition,
+    classify,
+    element_from_json,
+    element_to_json,
+)
 from diagsemi.formulas import family_order
 
 from .conftest import monoid
@@ -20,6 +26,15 @@ def test_every_generator_passes_its_family_test():
             gs = standard_generators(family, n)
             for g in gs.elements:
                 assert family in classify(g)
+
+
+def test_every_tl_generator_is_its_own_mirror_image():
+    """The TL fern ranks its columns on the orbit of its rows' halves,
+    which needs every generator to equal its mirror image: the same
+    diagram with upper and lower rows swapped."""
+    for n in range(1, 13):
+        for g in standard_generators("TL", n).elements:
+            assert Bipartition(n, g.assignment[n:] + g.assignment[:n]) == g
 
 
 @pytest.mark.parametrize("family,n", [

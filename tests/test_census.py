@@ -1,11 +1,14 @@
 import os
 import random
 import time
+from itertools import permutations
 
 import pytest
 
+from diagsemi import census
 from diagsemi.census import (
     FeasibilityError,
+    _units,
     all_subsemigroup_masks,
     census_up_to_conjugacy,
     joint_histogram,
@@ -14,6 +17,7 @@ from diagsemi.census import (
     symmetry_group,
 )
 from diagsemi.elements import MapElement
+from diagsemi.embeddings import embed
 from diagsemi.engine import enumerate_semigroup
 from diagsemi.kernels import Backend, _product_tables
 
@@ -245,6 +249,33 @@ def test_census_refuses_an_incomplete_search(monkeypatch):
             (e, c) for e, c in extend(self, mask, lo) if c != dropped])
         with pytest.raises(AssertionError, match=guard):
             census_up_to_conjugacy(S, G=G)
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for f, n, _ in TABLE3 + STRETCH])
+def test_units_are_the_permutation_diagrams(family, n):
+    """The census reads its permutations off the multiplication table as
+    the units: they are the images of the permutations of the points,
+    and TL_n has the identity alone."""
+    S = monoid(family, n)
+    units = _units(S.multiplication_table())
+    assert units[0] == 0
+    expected = set()
+    if family != "TL":
+        identity = tuple(range(n))
+        expected = {S.index[embed(MapElement(n, "permutation", sigma), family)[0]]
+                    for sigma in permutations(range(n)) if sigma != identity}
+    assert set(units[1:].tolist()) == expected
+
+
+def test_a_failed_census_keeps_no_tables(monkeypatch):
+    """A census whose kernel raises drops its ambient all the same."""
+    def fail(self, mask):
+        raise RuntimeError("kernel failure")
+
+    monkeypatch.setattr(Backend, "min_image", fail)
+    with pytest.raises(RuntimeError, match="kernel failure"):
+        census_up_to_conjugacy(monoid("T", 2))
+    assert census._AMBIENT is None
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -1,9 +1,11 @@
 import decimal
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,35 @@ def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _readme_cli_examples():
+    """(argv, stdout lines) of each ``$ diagsemi ...`` example in the
+    README's CLI section: the command's output runs to the next blank
+    line or the end of its code block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples, lines = [], None
+    for line in section.splitlines():
+        if line.startswith("$ diagsemi "):
+            lines = []
+            examples.append((shlex.split(line)[2:], lines))
+        elif lines is not None and line and line != "```":
+            lines.append(line)
+        else:
+            lines = None
+    return examples
+
+
+def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
+    """Each README example prints what the README shows, line for line,
+    run in an empty directory for the files it writes."""
+    examples = _readme_cli_examples()
+    assert examples
+    monkeypatch.chdir(tmp_path)
+    for argv, expected in examples:
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out.splitlines()) == (0, expected), argv
 
 
 def test_order_match(capsys):
