@@ -419,87 +419,93 @@ def eggbox(green, position: int) -> Eggbox:
 # points, through lines joined in order.
 
 
-def _half(labels):
-    """The half-diagram of one row of a TL diagram, from the block labels
-    of its points."""
-    half = list(range(len(labels)))
+def _partners(labels):
+    """The partner array of a TL diagram (see ``tl_cell_diagrams``) from
+    the block labels of its points."""
+    partner = list(range(len(labels)))
     first = {}
     for i, b in enumerate(labels):
         j = first.setdefault(b, i)
-        half[i], half[j] = j, i
-    return tuple(half)
+        partner[i], partner[j] = j, i
+    return partner
 
 
-def _through(half):
-    return [i for i, j in enumerate(half) if i == j]
+def _first_seen(ids):
+    """The ids >= 0 in the order they first occur."""
+    order = dict.fromkeys(ids)
+    order.pop(-1, None)
+    return list(order)
 
 
 def _least_halves(gens, identity, r, wanted):
-    """The ``wanted`` halves of rank r, twice ordered: by the
-    shortlex-least generator word whose upper half each one is, and by
-    the least word whose lower half it is.  These are the orders of the
-    first members of the R- and of the L-classes in Froidure-Pin order.
+    """The ``wanted`` halves of rank r, as two (wanted, n) arrays ordered
+    by the shortlex-least generator word whose upper half each one is,
+    and by the least word whose lower half it is.  These are the orders
+    of the first members of the R- and of the L-classes in Froidure-Pin
+    order.
 
     Every generator must be its own mirror image (upper and lower rows
     swapped), as each e_i of TL_n is.  Mirroring reverses products, so
     the lower half of x*g is the upper half of g*x', x' the mirror of x,
-    and the lower halves have the orbit and the action of the upper ones."""
+    and the lower halves have the orbit and the action of the upper ones.
+
+    The orbit of the identity's upper half under g*x is searched breadth
+    first: level L holds the halves of rank >= r whose shortest word has
+    length L.  The least word of such a half is g.w' (upper) or w'.g
+    (lower), w' the least word of a half of level L - 1: a shorter word
+    for the half of w' would give a shorter one for the half itself.  So
+    rows rank a level by letter and then the rank of w', columns by the
+    rank of w' and then letter.  Every (generator, half) product of a
+    level is taken at once by ``tl_products``."""
     n = identity.degree
-    # the orbit of the identity's upper half, one representative per half
-    # of rank >= r, and the generators' action g*rep on it; below rank r
-    # the action is -1
-    reps, halves = [identity], [_half(identity.assignment[:n])]
-    index, action = {halves[0]: 0}, []
-    for x in reps:
-        row = []
-        for g in gens:
-            y = g * x
-            h = _half(y.assignment[:n])
-            j = index.get(h, -1)
-            if j < 0 and len(_through(h)) >= r:
-                j = index[h] = len(reps)
-                reps.append(y)
-                halves.append(h)
-            row.append(j)
-        action.append(row)
-    targets = {j for j, h in enumerate(halves) if len(_through(h)) == r}
-    if len(targets) != wanted:
-        raise AssertionError(f"the orbit holds {len(targets)} halves of rank {r}, "
+    dtype = _small_ints(4 * n)
+    points = np.arange(n, dtype=dtype)
+    letters = np.array([_partners(g.assignment) for g in gens],
+                       dtype=dtype).reshape(len(gens), 2 * n)
+    width = points.nbytes
+    seen = {points.tobytes(): 0}
+    level, by_row, by_col = points[None, :], [0], [0]
+    rows, cols = [], []
+    while len(level):
+        # each half glued to its own mirror, through points joined in order
+        through = level == points
+        x = np.hstack([np.where(through, level + n, level),
+                       np.where(through, points, level + n)])
+        target = through.sum(axis=1) == r
+        rows.append(level[by_row][target[by_row]])
+        cols.append(level[by_col][target[by_col]])
+        # act[g, i]: the index in the next level of the upper half of
+        # g * level[i], or -1 when it is of rank < r or of an earlier level
+        start, fresh = len(seen), []
+        act = np.empty((len(letters), len(level)), dtype=np.int64)
+        for part in row_chunks(len(level), len(letters) * 2 * n * _PRODUCT_BYTES):
+            m = part.stop - part.start
+            y = tl_products(np.repeat(letters, m, axis=0),
+                            np.tile(x[part], (len(letters), 1)))[:, :n]
+            up = y >= n
+            half = np.where(up, points, y).tobytes()
+            found = [-1] * len(y)
+            for i in np.flatnonzero(up.sum(axis=1) >= r).tolist():
+                key = half[i * width:(i + 1) * width]
+                j = seen.setdefault(key, start + len(fresh)) - start
+                if j == len(fresh):
+                    fresh.append(key)
+                if j >= 0:
+                    found[i] = j
+            act[:, part] = np.reshape(found, (len(letters), m))
+        level = np.frombuffer(b"".join(fresh), dtype=dtype).reshape(-1, n)
+        by_row = _first_seen(act[:, by_row].ravel().tolist())
+        by_col = _first_seen(act[:, by_col].T.ravel().tolist())
+    rows, cols = (np.concatenate(h).astype(_small_ints(n)) for h in (rows, cols))
+    if len(rows) != wanted:
+        raise AssertionError(f"the orbit holds {len(rows)} halves of rank {r}, "
                              f"not {wanted}")
-
-    def ranked(upper):
-        # level L lists the halves with a word of exact length L, by their
-        # least such word: w = g.w' (upper) or w'.g (lower), ranked by the
-        # letter and the rank of w' at level L-1, letter first for upper
-        # halves as it leads the word.  Every half of the orbit has a
-        # word, so each target turns up at the length of its shortest one.
-        left, level, order = set(targets), [0], []
-        while True:
-            for j in level:
-                if j in left:
-                    left.remove(j)
-                    order.append(halves[j])
-            if not left:
-                return order
-            best = {}
-            for pos, i in enumerate(level):
-                for g, j in enumerate(action[i]):
-                    key = (g, pos) if upper else (pos, g)
-                    if j >= 0 and (j not in best or key < best[j]):
-                        best[j] = key
-            level = sorted(best, key=best.__getitem__)
-
-    return ranked(upper=True), ranked(upper=False)
+    return rows, cols
 
 
 def _small_ints(top):
     """The narrowest signed integer type that holds 0 .. top."""
     return np.min_scalar_type(-top - 1)
-
-
-def _halves_array(halves, n):
-    """The halves as a (len(halves), n) array of small integers."""
-    return np.array(halves, dtype=_small_ints(n)).reshape(len(halves), n)
 
 
 def _through_points(halves):
@@ -512,6 +518,9 @@ def _through_points(halves):
 # the temporaries of one chunk of fern rows; a larger one makes no
 # fern faster but raises the peak RSS of small ones
 _CHUNK_BYTES = 1 << 18
+# peak bytes of the temporaries of ``tl_products`` and the reading of its
+# upper halves, per point of a product, as measured on TL_10 to TL_40 (18-28)
+_PRODUCT_BYTES = 24
 
 
 def row_chunks(rows, row_bytes):
@@ -539,7 +548,7 @@ def tl_fern(gens, position: int):
     letters = [g for g in dict.fromkeys(gens.elements) if g != identity]
     r = n - 2 * position
     side = ballot(n, position)
-    rows, cols = (_halves_array(h, n) for h in _least_halves(letters, identity, r, side))
+    rows, cols = _least_halves(letters, identity, r, side)
 
     # a walk at point p takes u's cup to q and v's cup from q; point n is
     # where it stops, reached from every through point of u and fixed.

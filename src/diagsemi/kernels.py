@@ -136,8 +136,18 @@ class Backend:
         principal two-sided ideals."""
         products = self._products
         nib = _nibbles(mask, self._width)
-        succ = {x: _lookup(products[x], nib) for x in bit_indices(mask)}
+        # succ[x] = {x} | xT | Tx for x in T
+        succ = [0] * self._n
+        for x in bit_indices(mask):
+            succ[x] = 1 << x | _lookup(products[x], nib)
         # the ideal of t is {t} | tT | Tt | TtT, and TtT = T(tT) lies in
         # the successors of tT, so two steps from t reach all of it
-        return len({reduce(or_, map(succ.__getitem__, bit_indices(s)), 1 << t | s)
-                    for t, s in succ.items()})
+        ideals = set()
+        for t in bit_indices(mask):
+            s = ideal = succ[t]
+            while s:
+                low = s & -s
+                ideal |= succ[low.bit_length() - 1]
+                s ^= low
+            ideals.add(ideal)
+        return len(ideals)

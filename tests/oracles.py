@@ -222,3 +222,59 @@ def tl_partners(x):
     for a, b in x.blocks():
         partner[a], partner[b] = b, a
     return partner
+
+
+def _half(labels):
+    """The half-diagram of one row of a TL diagram, from the block labels
+    of its points: the other end of each cup, or the point itself."""
+    half = list(range(len(labels)))
+    first = {}
+    for i, b in enumerate(labels):
+        j = first.setdefault(b, i)
+        half[i], half[j] = j, i
+    return tuple(half)
+
+
+def least_halves_by_products(gens, identity, r):
+    """The halves of rank r, ordered by the shortlex-least word over
+    ``gens`` whose upper half each one is (rows) and by the least word
+    whose lower half it is (columns), from one ``Bipartition`` product
+    per half and generator.  Each generator must be its own mirror image,
+    so the lower halves have the orbit and the action of the upper ones.
+
+    Level L lists every half with a word of exact length L, by its least
+    such word, so a half turns up at the length of its shortest word."""
+    n = identity.degree
+    reps, halves = [identity], [_half(identity.assignment[:n])]
+    index, action = {halves[0]: 0}, []
+    for x in reps:
+        row = []
+        for g in gens:
+            y = g * x
+            h = _half(y.assignment[:n])
+            j = index.get(h, -1)
+            if j < 0 and sum(i == p for i, p in enumerate(h)) >= r:
+                j = index[h] = len(reps)
+                reps.append(y)
+                halves.append(h)
+            row.append(j)
+        action.append(row)
+    targets = {j for j, h in enumerate(halves) if sum(i == p for i, p in enumerate(h)) == r}
+
+    def ranked(upper):
+        left, level, order = set(targets), [0], []
+        while left:
+            for j in level:
+                if j in left:
+                    left.remove(j)
+                    order.append(halves[j])
+            best = {}
+            for pos, i in enumerate(level):
+                for g, j in enumerate(action[i]):
+                    key = (g, pos) if upper else (pos, g)
+                    if j >= 0 and (j not in best or key < best[j]):
+                        best[j] = key
+            level = sorted(best, key=best.__getitem__)
+        return order
+
+    return ranked(upper=True), ranked(upper=False)

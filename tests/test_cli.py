@@ -11,6 +11,7 @@ import pytest
 
 from diagsemi import engine
 from diagsemi.cli import main
+from diagsemi.elements import Bipartition
 
 
 def run_cli(capsys, *argv):
@@ -205,11 +206,14 @@ def test_fern_check_catches_a_wrong_cell(tmp_path, capsys, monkeypatch):
 
 
 def test_fern_never_enumerates(tmp_path, capsys, monkeypatch):
+    """fern neither enumerates TL_n nor multiplies two elements: its
+    orbit and its check take every product on partner arrays."""
     def refuse(*args, **kwargs):
-        raise AssertionError("fern must not enumerate TL_n")
+        raise AssertionError("fern must not enumerate TL_n or take element products")
 
     monkeypatch.setattr(engine, "enumerate_semigroup", refuse)
     monkeypatch.setattr(engine, "green_structure", refuse)
+    monkeypatch.setattr(Bipartition, "__mul__", refuse)
     path = tmp_path / "fern.pgm"
     code, out, _ = run_cli(capsys, "fern", 10, 4, "--out", path)
     assert code == 0

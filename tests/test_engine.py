@@ -10,6 +10,7 @@ from diagsemi.elements import Bipartition, MapElement
 from diagsemi.engine import (
     LimitExceeded,
     ReesZero,
+    _least_halves,
     _scc,
     enumerate_family,
     enumerate_semigroup,
@@ -23,6 +24,7 @@ from diagsemi.engine import (
     tl_fern,
     tl_products,
 )
+from diagsemi.formulas import ballot
 
 from .conftest import monoid
 from .oracles import (
@@ -34,6 +36,7 @@ from .oracles import (
     brute_principal_ideals,
     brute_r_classes,
     is_two_sided_ideal,
+    least_halves_by_products,
     tl_diagram,
     tl_partners,
     _partition_key,
@@ -242,6 +245,29 @@ def test_tl_fern_matches_enumerated_eggbox(n):
             tl_partners(x) for row in diagrams for x in row]
     with pytest.raises(ValueError):
         tl_fern(gens, n // 2 + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_least_halves_match_the_product_oracle(n):
+    """The breadth-first ranking of the halves agrees with the one over
+    every word length, for the letters in catalog order, reversed and
+    rotated by one: the reorders move both tie-breaks, letter against
+    the rank of the rest of the word."""
+    gens = standard_generators("TL", n)
+    letters = [g for g in dict.fromkeys(gens.elements) if g != gens.identity]
+    for order in (letters, letters[::-1], letters[1:] + letters[:1]):
+        for k in range(n // 2 + 1):
+            r = n - 2 * k
+            rows, cols = _least_halves(order, gens.identity, r, ballot(n, k))
+            assert (list(map(tuple, rows.tolist())), list(map(tuple, cols.tolist()))) == (
+                least_halves_by_products(order, gens.identity, r))
+
+
+def test_least_halves_refuse_a_wrong_count():
+    gens = standard_generators("TL", 6)
+    letters = [g for g in gens.elements if g != gens.identity]
+    with pytest.raises(AssertionError, match="the orbit holds 9 halves of rank 2, not 8"):
+        _least_halves(letters, gens.identity, 2, 8)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
