@@ -24,6 +24,7 @@ reports MATCH.
 """
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -99,6 +100,8 @@ def cmd_order(args):
 
 
 def cmd_census(args):
+    if args.out is not None and not args.stats:
+        raise ValueError("--out names the output directory of --stats")
     if args.family == "S" and args.stats:
         raise ValueError("--stats is not available for the S row, "
                          "which counts subgroup classes only")
@@ -156,12 +159,8 @@ def cmd_green(args):
     print(f"{args.family}_{args.n}: {len(S)} elements, "
           f"{n_d} D-class{'es' if n_d != 1 else ''}"
           f"{' (linearly ordered)' if chain and n_d > 1 else ''}")
-    for pos in range(n_d):
-        box = green.eggbox(pos)
-        size = len(green.d_class_elements(green.d_order[pos]))
-        idem = int(box.idempotent_mask.sum())
-        print(f"  D[{pos}]: {size} elements, eggbox "
-              f"{len(box.row_classes)}x{len(box.col_classes)}, "
+    for pos, (size, rows, cols, idem) in enumerate(green.summary):
+        print(f"  D[{pos}]: {size} elements, eggbox {rows}x{cols}, "
               f"{idem} idempotent cells")
     if args.json:
         engine.write_green_json(args.json, green, _config_line(args))
@@ -211,7 +210,10 @@ def cmd_fern(args):
     return 0 if verdict == "MATCH" else 1
 
 
+@functools.cache
 def build_parser():
+    """The parser of the process, built on the first call: building it
+    costs far more than parsing with it, and parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="diagsemi",
         description="diagram semigroups: orders, censuses, Green's structure")

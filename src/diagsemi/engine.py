@@ -19,7 +19,9 @@ their join.  D = J is checked rather than computed: each D-class is
 strongly connected in the two-sided graph, so the two agree exactly
 when the quotient graph of D-classes, the graph the D-order is read
 from, is acyclic.  Brute-force divisibility versions live in the test
-suite as oracles.
+suite as oracles.  Idempotents are read off the left graph and the
+words, and the per-D-class summary off the class labels, so no element
+is multiplied after enumeration.
 
 As J = D, a principal ideal S^1 s S^1 is the union of the D-classes at
 or below D_s: it is read off the D-order, not searched for (J. East et
@@ -256,6 +258,9 @@ class GreenStructure:
     listed in ``d_order`` from the top down (the identity's class first,
     then a deterministic linear extension of reverse ideal containment),
     so "D-class index k" below means the k-th entry of that list.
+    ``idempotent`` flags each element x with x*x = x, and ``summary``
+    lists, for each D-class in ``d_order``, its size, its numbers of R-
+    and L-classes (eggbox rows and columns) and its idempotents.
     """
 
     def __init__(self, S, r_class, l_class, d_class, d_order, d_leq):
@@ -265,10 +270,17 @@ class GreenStructure:
         self.d_class = d_class
         self.d_order = d_order
         self.d_leq = d_leq  # set of pairs (a, b) with D_a below-or-equal D_b
+        self.idempotent = idempotent_flags(S)
+        d = np.asarray(d_class)
+        sizes = np.bincount(d)
         # member indices per D-class id, in index order
-        self._members = np.split(np.argsort(d_class, kind="stable"),
-                                 np.cumsum(np.bincount(d_class))[:-1])
-        self._eggboxes = {}  # position -> Eggbox, filled by eggbox()
+        self._members = np.split(np.argsort(d, kind="stable"), np.cumsum(sizes)[:-1])
+        # an R- or L-class lies in one D-class, counted by its first member;
+        # an H-class holds at most one idempotent
+        rows, cols = (np.bincount(d[np.unique(c, return_index=True)[1]])
+                      for c in (r_class, l_class))
+        idem = np.bincount(d, weights=self.idempotent)
+        self.summary = [tuple(int(v[a]) for v in (sizes, rows, cols, idem)) for a in d_order]
 
     def n_d_classes(self):
         return len(self.d_order)
@@ -280,23 +292,14 @@ class GreenStructure:
         return eggbox(self, position)
 
     def to_json(self):
-        grids = []
-        for pos in range(len(self.d_order)):
-            box = self.eggbox(pos)
-            grids.append({
-                "position": pos,
-                "rows": len(box.row_classes),
-                "cols": len(box.col_classes),
-                "idempotents": int(box.idempotent_mask.sum()),
-                "size": len(self._members[self.d_order[pos]]),
-            })
         return {
             "size": len(self.S),
             "r_class": list(self.r_class),
             "l_class": list(self.l_class),
             "d_class": list(self.d_class),
             "d_order": list(self.d_order),
-            "eggbox": grids,
+            "eggbox": [dict(position=pos, rows=rows, cols=cols, idempotents=idem, size=size)
+                       for pos, (size, rows, cols, idem) in enumerate(self.summary)],
         }
 
 
@@ -379,33 +382,42 @@ class Eggbox:
 
 
 def eggbox(green, position: int) -> Eggbox:
-    """The eggbox grid of the D-class at the given position of d_order.
-
-    A structure builds each of its eggboxes once and returns the same box
-    on later calls."""
+    """The eggbox grid of the D-class at the given position of d_order."""
     if not 0 <= position < len(green.d_order):
         raise ValueError(f"no D-class at position {position}")
-    if position in green._eggboxes:
-        return green._eggboxes[position]
     members = green.d_class_elements(green.d_order[position])
-    r_class, l_class, elements = green.r_class, green.l_class, green.S.elements
+    r_class, l_class, flags = green.r_class, green.l_class, green.idempotent
     # members are in index order, so first occurrence is smallest member
     rpos, cpos = {}, {}
     for i in members:
         rpos.setdefault(r_class[i], len(rpos))
         cpos.setdefault(l_class[i], len(cpos))
-    width = len(cpos)
     cells = [[[] for _ in cpos] for _ in rpos]
-    idem = [False] * (len(rpos) * width)
+    mask = np.zeros((len(rpos), len(cpos)), dtype=bool)
     for i in members:
         r, c = rpos[r_class[i]], cpos[l_class[i]]
         cells[r][c].append(i)
-        if not idem[r * width + c]:
-            x = elements[i]
-            idem[r * width + c] = x * x == x
-    mask = np.array(idem, dtype=bool).reshape(len(rpos), width)
-    box = green._eggboxes[position] = Eggbox(list(rpos), list(cpos), cells, mask)
-    return box
+        mask[r, c] |= flags[i]
+    return Eggbox(list(rpos), list(cpos), cells, mask)
+
+
+def idempotent_flags(S: EnumeratedSemigroup) -> np.ndarray:
+    """Whether x*x = x, for every element x, without products: if x has
+    the word g_1...g_k, then x*x = g_1*(...(g_k*x)), read off the left
+    Cayley graph one letter at a time from the end of the word."""
+    prefix, last_gen = np.asarray(S.prefix), np.asarray(S.last_gen)
+    square = np.arange(len(S))
+    rest = np.arange(len(S))  # the element the unread start of each word spells
+    live = np.arange(1, len(S))  # the elements whose word is not read to its start
+    while live.size:
+        square[live] = S.left[square[live], last_gen[rest[live]]]
+        rest[live] = prefix[rest[live]]
+        live = live[rest[live] > 0]
+    return square == np.arange(len(S))
+
+
+def idempotents(S: EnumeratedSemigroup):
+    return np.flatnonzero(idempotent_flags(S)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +634,6 @@ def tl_products(x, y):
         s[walks] = step[walks - walks % two_n + s[walks]]
         walks = walks[s[walks] < two_n]
     return s.reshape(m, two_n) - two_n
-
-
-def idempotents(S: EnumeratedSemigroup):
-    return [i for i, x in enumerate(S.elements) if x * x == x]
 
 
 # ---------------------------------------------------------------------------

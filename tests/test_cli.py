@@ -1,3 +1,4 @@
+import argparse
 import decimal
 import hashlib
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from diagsemi import engine
+from diagsemi import cli, engine
 from diagsemi.cli import main
 from diagsemi.elements import Bipartition
 
@@ -113,6 +114,33 @@ def test_census_raw_refuses_stats(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_census_out_refuses_without_stats(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("census must refuse --out before any work")
+
+    monkeypatch.setattr(engine, "enumerate_family", refuse)
+    code, out, err = run_cli(capsys, "census", "T", "2", "--out", tmp_path / "x")
+    assert code == 2 and not out
+    assert err.startswith("error:") and "--out" in err and "--stats" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "diagsemi":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    assert run_cli(capsys, "order", "T", "2")[0] == 0
+    assert run_cli(capsys, "order", "I", "2")[0] == 0
+    assert len(built) == 1
+
+
 def test_census_jobs_byte_identical(tmp_path, capsys):
     run_cli(capsys, "census", "T", "3", "--stats", "--jobs", 1, "--out", tmp_path / "a")
     run_cli(capsys, "census", "T", "3", "--stats", "--jobs", 4, "--out", tmp_path / "b")
@@ -135,7 +163,10 @@ def test_green_tl4(capsys):
     assert "3 D-classes" in out and "linearly ordered" in out
 
 
-def test_green_json_builds_each_eggbox_once(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("json_out", [False, True])
+def test_green_builds_no_eggbox(tmp_path, capsys, monkeypatch, json_out):
+    """green and green --json read the per-class summary of Green's
+    structure; neither builds an eggbox."""
     built = []
 
     class CountedEggbox(engine.Eggbox):
@@ -145,10 +176,12 @@ def test_green_json_builds_each_eggbox_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(engine, "Eggbox", CountedEggbox)
     path = tmp_path / "green.json"
-    code, out, _ = run_cli(capsys, "green", "T", "3", "--json", path)
+    code, out, _ = run_cli(capsys, "green", "T", "3", *(["--json", path] if json_out else []))
     assert code == 0 and "3 D-classes" in out
-    assert len(json.loads(path.read_text())["eggbox"]) == 3
-    assert len(built) == 3
+    assert "D[1]: 18 elements, eggbox 3x3, 6 idempotent cells" in out
+    if json_out:
+        assert len(json.loads(path.read_text())["eggbox"]) == 3
+    assert built == []
 
 
 def test_fern_pgm(tmp_path, capsys):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from diagsemi.catalog import standard_generators
-from diagsemi.elements import Bipartition, MapElement
+from diagsemi.elements import PBR, Bipartition, MapElement
 from diagsemi.engine import (
     LimitExceeded,
+    ReesElement,
     ReesZero,
     _least_halves,
     _scc,
@@ -306,16 +307,42 @@ def test_idempotent_counts():
     assert idempotents(TL3) == brute_idempotents(TL3.elements)
 
 
-@pytest.mark.parametrize("family,n", ORACLE_SUITE)
-def test_idempotents_match_the_table_diagonal(family, n):
-    S = monoid(family, n)
+@pytest.mark.parametrize("build", ORACLE_BUILDS)
+def test_idempotents_match_the_table_diagonal(build):
+    S = build()
     table = S.multiplication_table()
     diagonal = [i for i in range(len(S)) if table[i, i] == i]
     assert idempotents(S) == diagonal
     green = green_structure(S)
+    assert np.flatnonzero(green.idempotent).tolist() == diagonal
+    assert len(green.summary) == green.n_d_classes()
     for pos, d_id in enumerate(green.d_order):
-        members = set(green.d_class_elements(d_id))
-        assert green.eggbox(pos).idempotent_mask.sum() == len(members.intersection(diagonal))
+        members = green.d_class_elements(d_id)
+        box = green.eggbox(pos)
+        idem = len(set(members).intersection(diagonal))
+        assert box.idempotent_mask.sum() == idem
+        assert green.summary[pos] == (len(members), len(box.row_classes),
+                                      len(box.col_classes), idem)
+        assert all(type(v) is int for v in green.summary[pos])
+
+
+@pytest.mark.parametrize("build", ORACLE_BUILDS)
+def test_green_structure_takes_no_element_products(build, monkeypatch):
+    """After enumeration, Green's structure, its summary, the idempotents
+    and every eggbox are read off the Cayley graphs and the words."""
+    S = build()
+
+    def refuse(*args):
+        raise AssertionError("no element product after enumeration")
+
+    for cls in (PBR, Bipartition, MapElement, ReesElement, ReesZero):
+        monkeypatch.setattr(cls, "__mul__", refuse)
+    green = green_structure(S)
+    assert sum(size for size, _, _, _ in green.summary) == len(S)
+    assert idempotents(S) == np.flatnonzero(green.idempotent).tolist()
+    for pos in range(green.n_d_classes()):
+        box = green.eggbox(pos)
+        assert box.idempotent_mask.sum() == green.summary[pos][3]
 
 
 @pytest.mark.parametrize("family,n", [("T", 3), ("I", 3), ("TL", 5), ("Br", 3), ("P", 2)])
