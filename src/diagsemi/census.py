@@ -24,7 +24,7 @@ import os
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 
@@ -99,6 +99,13 @@ def symmetry_group(S: EnumeratedSemigroup) -> SymmetryGroup:
     return SymmetryGroup(kept, np.vstack(rows))
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _units(table):
     """The indices of the units of a monoid with identity 0, ascending:
     the elements whose table row holds 0 (in a finite monoid a one-sided
@@ -146,6 +153,9 @@ class CensusRecord:
         }
 
 
+# Closed sets a census subtree folds and counts per batch.
+_SLICE = 1024
+
 # (kernels, mask of the non-identity units) of the running census,
 # read by _census_subtree: a forked pool inherits it, so nothing is pickled
 _AMBIENT = None
@@ -153,18 +163,21 @@ _AMBIENT = None
 
 def _census_subtree(state):
     """The records of the closed sets below ``state`` that are their own
-    minimal image, and how many sets of the subtree each minimal image has."""
+    minimal image, and how many sets of the subtree each minimal image has.
+    The sets are folded and counted ``_SLICE`` at a time."""
     kernels, perm_bits = _AMBIENT
     records, found = [], Counter()
-    for m in _closed_sets(kernels, *state):
-        rep, orbit = kernels.min_image(m)
-        found[rep] += 1
-        if rep == m:
-            records.append(CensusRecord(
-                mask=m, orbit_size=orbit, size=bin(m).count("1"),
-                d_classes=kernels.count_dclasses(m),
-                idempotents=kernels.count_idempotents(m),
-                has_nontrivial_perm=bool(m & perm_bits)))
+    sets = _closed_sets(kernels, *state)
+    while masks := list(islice(sets, _SLICE)):
+        reps, orbits = kernels.min_image(masks)
+        found.update(reps)
+        own = [(m, orbit) for m, rep, orbit in zip(masks, reps, orbits) if m == rep]
+        own_masks = [m for m, _ in own]
+        d_classes = kernels.count_dclasses(own_masks)
+        idempotents = kernels.count_idempotents(own_masks)
+        records += [CensusRecord(mask=m, orbit_size=orbit, size=m.bit_count(), d_classes=d,
+                                 idempotents=e, has_nontrivial_perm=bool(m & perm_bits))
+                    for (m, orbit), d, e in zip(own, d_classes, idempotents)]
     return records, found
 
 
@@ -182,7 +195,7 @@ def census_up_to_conjugacy(S, G=None, max_elements=None, jobs=1):
         # the empty set alone, then each subtree below it
         states = [(0, len(S))] + [(closed, e + 1) for e, closed in kernels.extend_window(0, 0)]
         records, found = [], Counter()
-        jobs = min(jobs, os.cpu_count() or 1)
+        jobs = min(jobs, _usable_cpus())
         with multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
             # one subtree per task, as their sizes differ by orders of magnitude
             for part, counts in (pool.imap_unordered if pool else map)(_census_subtree, states):

@@ -235,7 +235,7 @@ def build_parser():
     p.add_argument("--stats", action="store_true",
                    help="write histogram CSVs and a JSONL record stream")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes, at most the CPU count")
+                   help="worker processes, at most the CPUs this process may run on")
     p.add_argument("--out", default=None, help="output directory for --stats")
     p.set_defaults(func=cmd_census)
 

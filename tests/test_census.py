@@ -149,17 +149,18 @@ def test_orbit_sum_identity_and_minimal_image():
     records, raw = census_up_to_conjugacy(S, G=G)
     assert sum(r.orbit_size for r in records) == raw
     rng = random.Random(17)
-    masks = all_subsemigroup_masks(S)
-    for mask in rng.sample(masks, 60):
-        rep, orbit = kernels.min_image(mask)
-        again, _ = kernels.min_image(rep)
-        assert again == rep  # idempotent
+    sample = rng.sample(all_subsemigroup_masks(S), 60)
+    reps, _ = kernels.min_image(sample)
+    assert kernels.min_image(reps)[0] == reps  # idempotent
+    for mask, rep in zip(sample, reps):
+        images = []
         for row in G.index_perms:
             image = 0
             for i in range(len(S)):
                 if mask >> i & 1:
                     image |= 1 << int(row[i])
-            assert kernels.min_image(image)[0] == rep
+            images.append(image)
+        assert kernels.min_image(images)[0] == [rep] * len(images)
 
 
 def test_subgroup_census_values():
@@ -240,7 +241,7 @@ def test_census_refuses_an_incomplete_search(monkeypatch):
             work.append((c, e + 1))
             if not kernels.extend_window(c, e + 1):
                 leaves.append(c)
-    images = {c: kernels.min_image(c) for c in leaves}
+    images = dict(zip(leaves, zip(*kernels.min_image(leaves))))
     not_minimal = next(c for c in leaves if images[c][0] != c)
     representative = next(c for c in leaves if images[c][0] == c and images[c][1] > 1)
     extend = Backend.extend_window
@@ -269,7 +270,7 @@ def test_units_are_the_permutation_diagrams(family, n):
 
 def test_a_failed_census_keeps_no_tables(monkeypatch):
     """A census whose kernel raises drops its ambient all the same."""
-    def fail(self, mask):
+    def fail(self, masks):
         raise RuntimeError("kernel failure")
 
     monkeypatch.setattr(Backend, "min_image", fail)
@@ -291,7 +292,7 @@ def test_census_builds_the_product_tables_once_in_the_caller(monkeypatch, tmp_pa
         return _product_tables(rows)
 
     monkeypatch.setattr("diagsemi.kernels._product_tables", logged)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
     S = monoid("T", 3)
     for _ in range(2):
         records, _ = census_up_to_conjugacy(S, jobs=jobs)
@@ -320,12 +321,19 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
         Pool = SerialPool
 
     monkeypatch.setattr("multiprocessing.get_context", lambda method: SerialContext)
-    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    # the CPUs this process may run on, not all of the host's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     S = monoid("T", 3)
     records, raw = census_up_to_conjugacy(S, jobs=5000)
     assert requested == [3]
     assert len(records) == 283
     assert (records, raw) == census_up_to_conjugacy(S, jobs=1)
+    # where there is no affinity mask, the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert census_up_to_conjugacy(S, jobs=5000) == (records, raw)
+    assert requested == [3, 2]
 
 
 def test_census_stats_match_brute_force_on_subsemigroups():

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from diagsemi import cli, engine
+from diagsemi import census, cli, engine
 from diagsemi.cli import main
 from diagsemi.elements import Bipartition
+from diagsemi.kernels import Backend
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +150,29 @@ def test_census_jobs_byte_identical(tmp_path, capsys):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
+
+
+def test_census_jobs_byte_identical_across_slices(tmp_path, capsys, monkeypatch):
+    """I_3 folded a few sets at a time, so that subtrees span many slices,
+    writes the same files with one and two jobs as in whole slices."""
+    def run(sub, jobs):
+        code, _, _ = run_cli(capsys, "census", "I", "3", "--stats", "--jobs", jobs,
+                             "--out", tmp_path / sub)
+        assert code == 0
+        return {p.name: p.read_bytes() for p in (tmp_path / sub).iterdir()}
+
+    whole = run("whole", 1)
+    folds = []
+    min_image = Backend.min_image
+    monkeypatch.setattr(Backend, "min_image",
+                        lambda self, masks: folds.append(len(masks)) or min_image(self, masks))
+    monkeypatch.setattr(census, "_SLICE", 7)
+    monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
+    assert run("jobs1", 1) == whole
+    # every raw set folded, in more slices than I_3 has subtrees (at most 35)
+    assert sum(folds) == 16143 and max(folds) == 7 and len(folds) > 35
+    assert run("jobs2", 2) == whole
+    assert len(whole) == 5
 
 
 def test_green_group(capsys):

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from diagsemi import kernels as kernels_module
 from diagsemi.census import all_subsemigroup_masks, symmetry_group
 from diagsemi.kernels import Backend
 
@@ -33,13 +34,20 @@ def _j_classes(table, mask):
     return len(set(brute_j_classes(sub))) if members else 0
 
 
+def _random_perms(n, count, seed):
+    """The identity and ``count - 1`` random permutations of range(n)."""
+    rng = random.Random(seed)
+    return np.array([list(range(n))] + [rng.sample(range(n), n) for _ in range(count - 1)],
+                    dtype=np.int32)
+
+
 def _check_against_oracles(table, perms, masks):
+    """The batched kernels on ``masks`` against the per-mask definitions."""
     kernels = _kernels(table, perms)
-    for mask in masks:
-        assert is_closed(table, mask)
-        orbit = _orbit(mask, perms)
-        assert kernels.min_image(mask) == (min(orbit), len(orbit))
-        assert kernels.count_dclasses(mask) == _j_classes(table, mask)
+    assert all(is_closed(table, mask) for mask in masks)
+    orbits = [_orbit(mask, perms) for mask in masks]
+    assert kernels.min_image(masks) == ([min(o) for o in orbits], [len(o) for o in orbits])
+    assert kernels.count_dclasses(masks) == [_j_classes(table, mask) for mask in masks]
 
 
 def test_closure_basics():
@@ -70,8 +78,7 @@ def test_min_image_and_dclasses_wider_than_64():
     n = 70
     table = _capped_sum(n)
     rng = random.Random(70)
-    perms = np.array([list(range(n))] + [rng.sample(range(n), n) for _ in range(7)],
-                     dtype=np.int32)
+    perms = _random_perms(n, 8, 70)
     kernels = _kernels(table, perms)
     singles = [m for _, m in kernels.extend_window(0, 0)]
     masks = {0} | set(singles)
@@ -90,6 +97,45 @@ def test_kernels_on_widths_not_a_multiple_of_4(family, n):
     _check_against_oracles(table, symmetry_group(S).index_perms, sample)
 
 
+def _chunk_lengths(monkeypatch):
+    """The lengths of the chunks the batched kernels work on, in order."""
+    lengths, chunks = [], kernels_module._chunks
+
+    def recorded(items, row_bytes):
+        for chunk in chunks(items, row_bytes):
+            lengths.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(kernels_module, "_chunks", recorded)
+    return lengths
+
+
+@pytest.mark.parametrize("kernel", ["min_image", "count_dclasses"])
+def test_batches_around_one_chunk(monkeypatch, kernel):
+    """Batches of 0, 1, chunk - 1, chunk and chunk + 1 masks, where chunk
+    is how many masks the kernel takes at once, agree with the oracles.
+    The masks {e, 69} of the capped sum all have two elements, so the
+    D-class pass chunks them as one size."""
+    n = 70
+    table = _capped_sum(n)
+    perms = _random_perms(n, 8, 71)
+    pairs = [1 << e | 1 << (n - 1) for e in range(n // 2, n - 1)]
+    oracle = {"min_image": lambda masks: ([min(_orbit(m, perms)) for m in masks],
+                                          [len(_orbit(m, perms)) for m in masks]),
+              "count_dclasses": lambda masks: [_j_classes(table, m) for m in masks]}[kernel]
+    monkeypatch.setattr(kernels_module, "_CHUNK_BYTES", 1 << 11)
+    lengths = _chunk_lengths(monkeypatch)
+    run = getattr(_kernels(table, perms), kernel)
+    run(pairs)
+    chunk = lengths[0]
+    assert 1 < chunk < len(pairs) - 1
+    for size in (0, 1, chunk - 1, chunk, chunk + 1):
+        lengths.clear()
+        masks = pairs[:size]
+        assert run(masks) == oracle(masks)
+        assert lengths == [chunk] * (size // chunk) + [size % chunk] * (size % chunk > 0)
+
+
 def test_count_idempotents_against_the_diagonal():
     rng = random.Random(3)
     tables = [_capped_sum(70)] + [monoid(f, n).multiplication_table()
@@ -97,7 +143,8 @@ def test_count_idempotents_against_the_diagonal():
     for table in tables:
         n = len(table)
         kernels = _kernels(table)
-        for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
-            diagonal = sum(1 for i in range(n) if mask >> i & 1 and table[i, i] == i)
-            assert kernels.count_idempotents(mask) == diagonal
+        masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
+        assert kernels.count_idempotents(masks) == [
+            sum(1 for i in range(n) if mask >> i & 1 and table[i, i] == i) for mask in masks]
+        assert kernels.count_idempotents([]) == []
 
