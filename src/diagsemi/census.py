@@ -11,11 +11,16 @@ outside the closure of C's elements below e, so every closed subset
 sets already found is kept; a 2^N subset scan doubles as the
 completeness oracle in the tests.
 
-The subtrees below the empty set share nothing, so the census searches
-and folds each one whole, in up to ``jobs`` forked workers.  The fold to
-conjugacy classes maps every mask through the ambient symmetry group
-(the point permutations fixing the element set) and keeps the minimal
-image, where masks compare as plain integers with element i at bit i.
+The search runs one level of the tree at a time: ``extend_window``
+closes every candidate of a level together, over packed mask rows (see
+``kernels``).  Each level goes straight on to the fold to conjugacy
+classes, which maps every mask through the ambient symmetry group (the
+point permutations fixing the element set) and keeps the minimal image,
+where masks compare as plain integers with element i at bit i; then the
+statistics of the level's representatives are counted.  The subtrees
+below the empty set share nothing, so with one job the census searches
+the whole tree from the empty set, and with ``jobs`` forked workers it
+hands them one subtree each.
 """
 
 import json
@@ -24,14 +29,14 @@ import os
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import chain, permutations
 
 import numpy as np
 
 from .elements import PointPermutation, conjugate
 from .engine import EnumeratedSemigroup
 from .formulas import decimal_string
-from .kernels import Backend
+from .kernels import Backend, lookup_bytes, pack_masks, unpack_masks
 
 
 class FeasibilityError(RuntimeError):
@@ -44,6 +49,10 @@ class FeasibilityError(RuntimeError):
 # The enumeration bound admits TL_12 (208,012) and refuses TL_13 (742,900).
 DEFAULT_MAX_ELEMENTS = 64
 ENUMERATION_MAX_ELEMENTS = 250_000
+# The bytes of the closed-set search's lookup table (``lookup_bytes``) that
+# the census admits: every ambient up to 384 elements (T_4 has 256, a
+# table of 64 MiB), but not S_6 (720 elements, a table of 1.5 GiB).
+CENSUS_MAX_TABLE_BYTES = 1 << 28
 # The symmetry group is found by trying all n! point permutations.
 SYMMETRY_MAX_DEGREE = 8
 
@@ -56,10 +65,13 @@ def check_bound(n, bound, kind, what="ambient", unit="elements"):
             f"{what} has {decimal_string(n)} {unit}, over the {kind} bound of {bound}")
 
 
-def check_census_bound(n, max_elements=None):
-    """Refuse an ambient of ``n`` elements over the census bound."""
+def check_census_bound(n, max_elements=None, what="ambient"):
+    """Refuse an ambient of ``n`` elements over the census bound, or one
+    whose lookup table is over the census's bound in bytes."""
     check_bound(n, DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements,
-                "census")
+                "census", what=what)
+    check_bound(lookup_bytes(n), CENSUS_MAX_TABLE_BYTES, "census",
+                what=f"the lookup table of {what}", unit="bytes")
 
 
 class SymmetryGroup:
@@ -114,23 +126,26 @@ def _units(table):
     return np.flatnonzero((table == 0).any(axis=1))
 
 
-def _closed_sets(kernels, mask, lo):
-    """Every closed set of the Close-by-One subtree below the state
-    (mask, lo), mask itself first."""
-    yield mask
-    work = [(mask, lo)]
-    while work:
-        mask, lo = work.pop()
-        for e, closed in kernels.extend_window(mask, lo):
-            yield closed
-            work.append((closed, e + 1))
+def _closed_sets(kernels, masks, lo):
+    """Every closed set of the Close-by-One subtrees below the states
+    (masks, lo), as packed rows one level at a time, the roots first."""
+    while len(masks):
+        yield masks
+        children = kernels.extend_window(masks, lo)
+        masks, lo = children["mask"], children["e"] + 1
+
+
+def _root(n):
+    """The state of the whole search: the empty set, adjoining from 0."""
+    return pack_masks([0], n), np.zeros(1, np.intp)
 
 
 def all_subsemigroup_masks(S, max_elements=None):
     """Every product-closed subset of S, as a sorted list of bitmasks."""
     check_census_bound(len(S), max_elements)
     trivial_group = np.arange(len(S))[None]
-    return sorted(_closed_sets(Backend(S.multiplication_table(), trivial_group), 0, 0))
+    kernels = Backend(S.multiplication_table(), trivial_group)
+    return sorted(chain.from_iterable(map(unpack_masks, _closed_sets(kernels, *_root(len(S))))))
 
 
 @dataclass(frozen=True)
@@ -153,31 +168,28 @@ class CensusRecord:
         }
 
 
-# Closed sets a census subtree folds and counts per batch.
-_SLICE = 1024
-
 # (kernels, mask of the non-identity units) of the running census,
 # read by _census_subtree: a forked pool inherits it, so nothing is pickled
 _AMBIENT = None
 
 
-def _census_subtree(state):
-    """The records of the closed sets below ``state`` that are their own
-    minimal image, and how many sets of the subtree each minimal image has.
-    The sets are folded and counted ``_SLICE`` at a time."""
+def _census_subtree(roots):
+    """The records of the closed sets below the ``roots`` states that are
+    their own minimal image, and how many sets each minimal image has.
+    The sets are folded and counted one level of the search at a time."""
     kernels, perm_bits = _AMBIENT
     records, found = [], Counter()
-    sets = _closed_sets(kernels, *state)
-    while masks := list(islice(sets, _SLICE)):
+    for masks in _closed_sets(kernels, *roots):
         reps, orbits = kernels.min_image(masks)
-        found.update(reps)
-        own = [(m, orbit) for m, rep, orbit in zip(masks, reps, orbits) if m == rep]
-        own_masks = [m for m, _ in own]
-        d_classes = kernels.count_dclasses(own_masks)
-        idempotents = kernels.count_idempotents(own_masks)
+        images, counts = np.unique(reps, axis=0, return_counts=True)
+        found.update(dict(zip(unpack_masks(images), counts.tolist())))
+        own = (masks == reps).all(axis=1)
+        own_masks = masks[own]
         records += [CensusRecord(mask=m, orbit_size=orbit, size=m.bit_count(), d_classes=d,
                                  idempotents=e, has_nontrivial_perm=bool(m & perm_bits))
-                    for (m, orbit), d, e in zip(own, d_classes, idempotents)]
+                    for m, orbit, d, e in zip(unpack_masks(own_masks), orbits[own].tolist(),
+                                              kernels.count_dclasses(own_masks),
+                                              kernels.count_idempotents(own_masks))]
     return records, found
 
 
@@ -192,13 +204,17 @@ def census_up_to_conjugacy(S, G=None, max_elements=None, jobs=1):
     kernels = Backend(table, G.index_perms)
     _AMBIENT = kernels, sum(1 << int(i) for i in _units(table)[1:])
     try:
-        # the empty set alone, then each subtree below it
-        states = [(0, len(S))] + [(closed, e + 1) for e, closed in kernels.extend_window(0, 0)]
-        records, found = [], Counter()
+        roots = [_root(len(S))]
         jobs = min(jobs, _usable_cpus())
+        if jobs > 1:
+            # the empty set alone, then one task per subtree below it, as
+            # their sizes differ by orders of magnitude
+            first = kernels.extend_window(*roots[0])
+            roots = [(roots[0][0], np.array([len(S)]))] + [
+                (first["mask"][k:k + 1], first["e"][k:k + 1] + 1) for k in range(len(first))]
+        records, found = [], Counter()
         with multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
-            # one subtree per task, as their sizes differ by orders of magnitude
-            for part, counts in (pool.imap_unordered if pool else map)(_census_subtree, states):
+            for part, counts in (pool.imap_unordered if pool else map)(_census_subtree, roots):
                 records += part
                 found.update(counts)  # Counter.update adds where dict.update overwrites
     finally:

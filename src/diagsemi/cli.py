@@ -10,7 +10,8 @@ Families: PB B PT T I S P IS Br TL (see README for the notation map).
 
 Every command compares the closed-form size of its work with a bound
 before it builds generators or enumerates anything: ``census`` the order
-with the census bound (64 elements, overridden by DIAGSEMI_MAX_ELEMENTS),
+with the census bound (64 elements, overridden by DIAGSEMI_MAX_ELEMENTS)
+and the bytes of its search's lookup table with CENSUS_MAX_TABLE_BYTES (2^28),
 ``order`` and ``green`` the order with the fixed enumeration bound of
 250,000 elements.  ``fern`` never enumerates TL_n: it bounds its bitmap
 by FERN_MAX_CELLS (2^24 cells) and its one half-diagram orbit, in
@@ -46,8 +47,18 @@ _CHECK_CELL_BYTES = 24
 
 
 def _census_bound():
+    """The census bound: DIAGSEMI_MAX_ELEMENTS, a whole number of at least
+    1, or the default where it is unset or blank."""
     value = os.environ.get("DIAGSEMI_MAX_ELEMENTS", "").strip()
-    return int(value) if value else census_mod.DEFAULT_MAX_ELEMENTS
+    if not value:
+        return census_mod.DEFAULT_MAX_ELEMENTS
+    try:
+        bound = int(value)
+    except ValueError:
+        raise ValueError(f"DIAGSEMI_MAX_ELEMENTS must be a whole number, got {value!r}") from None
+    if bound < 1:
+        raise ValueError(f"DIAGSEMI_MAX_ELEMENTS must be at least 1, got {bound}")
+    return bound
 
 
 def _positive_int(text):
@@ -109,6 +120,8 @@ def cmd_census(args):
         raise ValueError("--stats is not available with --raw, "
                          "which counts the subsemigroups only")
     limit = _census_bound()
+    census_mod.check_census_bound(family_order(args.family, args.n), limit,
+                                  what=f"{args.family}_{args.n}")
     S = _enumerate(args.family, args.n, limit, "census")
     # backend=python is a fixed field of the census header: existing
     # output files carry it and their digests pin those bytes

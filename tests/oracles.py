@@ -58,6 +58,70 @@ def brute_closed_subsets(table):
     return [mask for mask in range(1 << len(table)) if is_closed(table, mask)]
 
 
+class NibbleClosure:
+    """The one-mask-at-a-time Close-by-One step over python-int masks: the
+    reference for the batched search of ``Backend.extend_window``.
+
+    For an element x and the 4-bit chunk c of a mask (elements 4c ..
+    4c+3), the product table of x holds 16 entries: entry b is the OR of
+    ``1 << table[x, y] | 1 << table[y, x]`` over the elements y of the
+    chunk whose bits are set in b, so ``x·M ∪ M·x`` is the OR of ⌈N/4⌉
+    lookups, one per chunk of M."""
+
+    def __init__(self, table):
+        rows = table.tolist()
+        self.n = n = len(rows)
+        self.products = [_nibble_tables([1 << rows[x][y] | 1 << rows[y][x] for y in range(n)])
+                         for x in range(n)]
+
+    def nibbles(self, mask):
+        """The 4-bit chunks of ``mask``, lowest first."""
+        return [mask >> c & 15 for c in range(0, self.n, 4)]
+
+    def closure(self, mask, nib, first):
+        """Closure of the closed set ``mask``, whose nibbles are ``nib``,
+        after adjoining element ``first``, or None as soon as it gains an
+        element below ``first``; a copy of the nibbles grows along with
+        the set."""
+        m = mask | 1 << first
+        below = (1 << first) - 1
+        nib = nib[:]
+        nib[first >> 2] |= 1 << (first & 3)
+        stack = [first]
+        while stack:
+            new = 0
+            for table, b in zip(self.products[stack.pop()], nib):
+                new |= table[b]
+            new &= ~m
+            if new:
+                if new & below:
+                    return None
+                m |= new
+                for p in bit_indices(new):
+                    nib[p >> 2] |= 1 << (p & 3)
+                    stack.append(p)
+        return m
+
+    def extend_window(self, mask, lo):
+        """``(e, closure of mask + e)`` for each e >= lo not in mask whose
+        closure gains no element below e: the canonical children of mask."""
+        nib = self.nibbles(mask)
+        return [(e, closed) for e in range(lo, self.n) if not mask >> e & 1
+                and (closed := self.closure(mask, nib, e)) is not None]
+
+
+def _nibble_tables(values):
+    """Per 4-bit chunk, the ORs of the subsets of its (up to four) ``values``,
+    indexed by the subset as a bitmask."""
+    out = []
+    for c in range(0, len(values), 4):
+        t = [0]
+        for v in values[c:c + 4]:
+            t += [u | v for u in t]
+        out.append(t)
+    return out
+
+
 def _partition_key(classes):
     """Canonical form of a partition given as element -> class-key map."""
     relabel = {}

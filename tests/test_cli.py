@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from diagsemi import census, cli, engine
+from diagsemi import census, cli, engine, kernels
 from diagsemi.cli import main
 from diagsemi.elements import Bipartition
 from diagsemi.kernels import Backend
@@ -153,8 +153,9 @@ def test_census_jobs_byte_identical(tmp_path, capsys):
 
 
 def test_census_jobs_byte_identical_across_slices(tmp_path, capsys, monkeypatch):
-    """I_3 folded a few sets at a time, so that subtrees span many slices,
-    writes the same files with one and two jobs as in whole slices."""
+    """I_3 searched and folded a few sets at a time, so that every level of
+    the search splits into many chunks, writes the same files with one and
+    two jobs as with whole chunks."""
     def run(sub, jobs):
         code, _, _ = run_cli(capsys, "census", "I", "3", "--stats", "--jobs", jobs,
                              "--out", tmp_path / sub)
@@ -162,17 +163,43 @@ def test_census_jobs_byte_identical_across_slices(tmp_path, capsys, monkeypatch)
         return {p.name: p.read_bytes() for p in (tmp_path / sub).iterdir()}
 
     whole = run("whole", 1)
-    folds = []
-    min_image = Backend.min_image
+    folds, levels = [], []
+    min_image, spans = Backend.min_image, kernels._spans
+
+    def recorded(weights, row_bytes):
+        parts = spans(weights, row_bytes)
+        levels.append((int(weights.sum()), len(parts), kernels._CHUNK_BYTES // row_bytes))
+        return parts
+
     monkeypatch.setattr(Backend, "min_image",
                         lambda self, masks: folds.append(len(masks)) or min_image(self, masks))
-    monkeypatch.setattr(census, "_SLICE", 7)
+    monkeypatch.setattr(kernels, "_spans", recorded)
+    monkeypatch.setattr(kernels, "_CHUNK_BYTES", 1 << 10)
     monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
     assert run("jobs1", 1) == whole
-    # every raw set folded, in more slices than I_3 has subtrees (at most 35)
-    assert sum(folds) == 16143 and max(folds) == 7 and len(folds) > 35
+    # every raw set folded; every level past the first (the empty set
+    # alone) in many chunks of about ``step`` candidates each
+    assert sum(folds) == 16143
+    assert len(levels) == 11 and all(parts > 1 for _, parts, _ in levels[1:])
+    assert all(parts >= candidates // (2 * step) for candidates, parts, step in levels)
     assert run("jobs2", 2) == whole
     assert len(whole) == 5
+
+
+@pytest.mark.stretch
+def test_census_jobs_byte_identical_wider_than_64(tmp_path, capsys, monkeypatch):
+    """Br_4 (105 elements, two 64-bit words a mask) writes the same files
+    with one and two jobs."""
+    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "200")
+    monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
+    files = []
+    for jobs in (1, 2):
+        code, out, _ = run_cli(capsys, "census", "Br", 4, "--stats", "--jobs", jobs,
+                               "--out", tmp_path / str(jobs))
+        assert code == 0
+        assert "subsemigroups of Br_4 up to conjugacy: 10411" in out
+        files.append({p.name: p.read_bytes() for p in (tmp_path / str(jobs)).iterdir()})
+    assert files[0] == files[1] and len(files[0]) == 5
 
 
 def test_green_group(capsys):
@@ -361,6 +388,31 @@ def test_census_refuses_before_enumerating(capsys, family, n, order):
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "census", family, n)
     assert code == 2 and f"{order} elements" in err and "bound of 64" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("value,message", [
+    ("abc", "must be a whole number, got 'abc'"),
+    ("12x", "must be a whole number, got '12x'"),
+    ("0", "must be at least 1, got 0"),
+    ("-3", "must be at least 1, got -3"),
+])
+def test_census_bound_must_be_a_positive_whole_number(capsys, monkeypatch, value, message):
+    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", value)
+    code, out, err = run_cli(capsys, "census", "T", 2)
+    assert code == 2 and not out
+    assert err == f"error: DIAGSEMI_MAX_ELEMENTS {message}\n"
+
+
+def test_census_refuses_a_lookup_table_over_its_bound(capsys, monkeypatch):
+    """S_6 is within a census bound of 720 elements, but the lookup table
+    of its search is not: the census refuses it before enumerating."""
+    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "720")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "census", "S", 6)
+    assert code == 2 and not out
+    assert ("the lookup table of S_6 has 1592524800 bytes, "
+            "over the census bound of 268435456") in err
     assert time.perf_counter() - start < 1.0
 
 

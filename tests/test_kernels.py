@@ -5,14 +5,22 @@ import pytest
 
 from diagsemi import kernels as kernels_module
 from diagsemi.census import all_subsemigroup_masks, symmetry_group
-from diagsemi.kernels import Backend
+from diagsemi.formulas import family_order
+from diagsemi.kernels import Backend, pack_masks, unpack_masks
 
 from .conftest import monoid
-from .oracles import brute_j_classes, is_closed
+from .oracles import NibbleClosure, brute_j_classes, is_closed
+from .test_census import TABLE3
 
 def _kernels(table, perms=None):
     """The kernels over ``table``, with the trivial group unless ``perms``."""
     return Backend(table, np.arange(len(table))[None] if perms is None else perms)
+
+
+def _children(kernels, n, mask, lo):
+    """The children of the one state (mask, lo), as a dict e -> closure."""
+    out = kernels.extend_window(pack_masks([mask], n), np.array([lo]))
+    return dict(zip(out["e"].tolist(), unpack_masks(out["mask"])))
 
 
 def _capped_sum(n):
@@ -46,16 +54,19 @@ def _check_against_oracles(table, perms, masks):
     kernels = _kernels(table, perms)
     assert all(is_closed(table, mask) for mask in masks)
     orbits = [_orbit(mask, perms) for mask in masks]
-    assert kernels.min_image(masks) == ([min(o) for o in orbits], [len(o) for o in orbits])
-    assert kernels.count_dclasses(masks) == [_j_classes(table, mask) for mask in masks]
+    rows = pack_masks(masks, len(table))
+    reps, sizes = kernels.min_image(rows)
+    assert unpack_masks(reps) == [min(o) for o in orbits]
+    assert sizes.tolist() == [len(o) for o in orbits]
+    assert kernels.count_dclasses(rows) == [_j_classes(table, mask) for mask in masks]
 
 
 def test_closure_basics():
     table = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 2]], dtype=np.int32)
     kernels = _kernels(table)
     # closing {1} pulls in 1*1=0, below 1: that closure is not a child
-    assert dict(kernels.extend_window(0, 0)) == {0: 0b001, 2: 0b100}
-    exts = dict(kernels.extend_window(0b100, 0))
+    assert _children(kernels, 3, 0, 0) == {0: 0b001, 2: 0b100}
+    exts = _children(kernels, 3, 0b100, 0)
     assert exts == {0: 0b101}
     assert all(is_closed(table, m) for m in exts.values())
 
@@ -64,14 +75,76 @@ def test_extend_window_wider_than_64():
     n = 70
     table = _capped_sum(n)
     kernels = _kernels(table)
-    assert kernels.extend_window(0, 1)[0] == (1, (1 << n) - 2)
+    assert _children(kernels, n, 0, 1)[1] == (1 << n) - 2
     top = 1 << (n - 1)
-    assert dict(kernels.extend_window(0, 40)) == {
+    assert _children(kernels, n, 0, 40) == {
         e: 1 << e | top for e in range(40, n)}
     mask = 1 << 35 | top
-    exts = dict(kernels.extend_window(mask, 60))
+    exts = _children(kernels, n, mask, 60)
     assert exts == {e: mask | 1 << e for e in range(60, n - 1)}
     assert all(is_closed(table, m) for m in exts.values())
+
+
+def _random_magma(n, seed):
+    """A random binary operation on range(n): no law holds, so its closed
+    sets check the closure alone."""
+    return np.random.default_rng(seed).integers(0, n, (n, n), dtype=np.int32)
+
+
+def _check_search_against_the_oracle(table, states=None):
+    """The batched search, state by state, against the python closure: the
+    children of every state, as sets of (e, closed), and no child twice.
+    From the root, every level of the tree; from ``states`` (pairs of an
+    int mask and lo), their children only."""
+    n = len(table)
+    kernels, oracle = _kernels(table), NibbleClosure(table)
+    masks = pack_masks([0] if states is None else [m for m, _ in states], n)
+    lo = np.array([0] if states is None else [lo for _, lo in states])
+    while len(masks):
+        children = kernels.extend_window(masks, lo)
+        got = [set() for _ in range(len(masks))]
+        for k, e, closed in zip(children["state"].tolist(), children["e"].tolist(),
+                                unpack_masks(children["mask"])):
+            got[k].add((e, closed))
+        assert sum(map(len, got)) == len(children)
+        assert got == [set(oracle.extend_window(mask, start))
+                       for mask, start in zip(unpack_masks(masks), lo.tolist())]
+        if states is not None:
+            break
+        masks, lo = children["mask"], children["e"] + 1
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for f, n, _ in TABLE3 if family_order(f, n) <= 42])
+def test_search_against_the_python_closure(family, n):
+    _check_search_against_the_oracle(monoid(family, n).multiplication_table())
+
+
+@pytest.mark.parametrize("n", [3, 11, 19, 67])
+def test_search_against_the_python_closure_on_random_tables(n):
+    """Random operations at widths that are not a multiple of 8, one of
+    them past one 64-bit word."""
+    for seed in range(4):
+        _check_search_against_the_oracle(_random_magma(n, seed))
+
+
+def test_search_against_the_python_closure_wider_than_64():
+    """The capped sum has too many closed sets for the whole tree: the
+    children of the root, of states with lo past 0, and of the singles
+    with and without the elements below them."""
+    n = 70
+    table = _capped_sum(n)
+    top = 1 << (n - 1)
+    singles = NibbleClosure(table).extend_window(0, 0)
+    states = [(0, 0), (0, 40), (1 << 35 | top, 60)]
+    states += [(m, e + 1) for e, m in singles] + [(m, 0) for _, m in singles[::5]]
+    _check_search_against_the_oracle(table, states)
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 64, 65, 70])
+def test_lookup_bytes_is_the_size_of_the_table(n):
+    """The census bounds the lookup table by ``lookup_bytes`` before it
+    builds it: the two must agree."""
+    assert kernels_module._lookup_table(_capped_sum(n)).nbytes == kernels_module.lookup_bytes(n)
 
 
 def test_min_image_and_dclasses_wider_than_64():
@@ -80,10 +153,10 @@ def test_min_image_and_dclasses_wider_than_64():
     rng = random.Random(70)
     perms = _random_perms(n, 8, 70)
     kernels = _kernels(table, perms)
-    singles = [m for _, m in kernels.extend_window(0, 0)]
+    singles = list(_children(kernels, n, 0, 0).values())
     masks = {0} | set(singles)
     for mask in rng.sample(singles, 12):
-        masks.update(m for _, m in kernels.extend_window(mask, 0))
+        masks.update(_children(kernels, n, mask, 0).values())
     _check_against_oracles(table, perms, sorted(masks))
 
 
@@ -125,7 +198,14 @@ def test_batches_around_one_chunk(monkeypatch, kernel):
               "count_dclasses": lambda masks: [_j_classes(table, m) for m in masks]}[kernel]
     monkeypatch.setattr(kernels_module, "_CHUNK_BYTES", 1 << 11)
     lengths = _chunk_lengths(monkeypatch)
-    run = getattr(_kernels(table, perms), kernel)
+    kernel_run = getattr(_kernels(table, perms), kernel)
+
+    def run(masks):
+        out = kernel_run(pack_masks(masks, n))
+        if kernel == "min_image":
+            return unpack_masks(out[0]), out[1].tolist()
+        return out
+
     run(pairs)
     chunk = lengths[0]
     assert 1 < chunk < len(pairs) - 1
@@ -144,7 +224,7 @@ def test_count_idempotents_against_the_diagonal():
         n = len(table)
         kernels = _kernels(table)
         masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
-        assert kernels.count_idempotents(masks) == [
+        assert kernels.count_idempotents(pack_masks(masks, n)) == [
             sum(1 for i in range(n) if mask >> i & 1 and table[i, i] == i) for mask in masks]
-        assert kernels.count_idempotents([]) == []
+        assert kernels.count_idempotents(pack_masks([], n)) == []
 
