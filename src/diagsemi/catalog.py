@@ -78,7 +78,7 @@ def _perm_bipartition(n, image):
     return Bipartition.from_blocks(n, blocks)
 
 
-def _hook(n, i):
+def hook(n, i):
     """The Temperley-Lieb generator e_{i+1}: cup {i, i+1} over cap {i', (i+1)'}."""
     blocks = [(i, i + 1), (n + i, n + i + 1)]
     blocks += [(j, n + j) for j in range(n) if j not in (i, i + 1)]
@@ -136,14 +136,14 @@ def standard_generators(family: str, n: int) -> GeneratorSet:
             labels.append("e")
     elif family == "TL":
         for i in range(n - 1):
-            gens.append(_hook(n, i))
+            gens.append(hook(n, i))
             labels.append(f"e{i + 1}")
     elif family == "Br":
         for lab, img in _perm_images(n):
             gens.append(_perm_bipartition(n, img))
             labels.append(lab)
         if n >= 2:
-            gens.append(_hook(n, 0))
+            gens.append(hook(n, 0))
             labels.append("e1")
     elif family == "P":
         for lab, img in _perm_images(n):

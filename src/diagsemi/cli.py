@@ -15,10 +15,10 @@ and the bytes of its search's lookup table with CENSUS_MAX_TABLE_BYTES (2^28),
 ``order`` and ``green`` the order with the fixed enumeration bound of
 250,000 elements.  ``fern`` never enumerates TL_n: it bounds its bitmap
 by FERN_MAX_CELLS (2^24 cells) and its one half-diagram orbit, in
-point-products (generator products times their degree n), by
-FERN_MAX_POINT_PRODUCTS (2^22).  ``order`` then skips its enumeration;
-``census``, ``green`` and ``fern`` exit 2, as they do when an output
-file cannot be written.
+point-products (the entries of the orbit's action arrays: halves times
+hooks times the degree n), by FERN_MAX_POINT_PRODUCTS (2^22).  ``order``
+then skips its enumeration; ``census``, ``green`` and ``fern`` exit 2,
+as they do when an output file cannot be written.
 
 Exit status is 0 only when every verification the command performs
 reports MATCH.
@@ -32,14 +32,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalog, census as census_mod, engine
+from . import catalog, census as census_mod, engine, kernels
 from .elements import FAMILY_CODES, FAMILY_NAMES
 from .formulas import ballot, binomial, decimal_string, family_order
 
 # the largest fern bitmap, in cells: 16 MiB of mask
 FERN_MAX_CELLS = 1 << 24
-# the largest half-diagram orbit, in generator products times their degree:
-# admits fern 16 7 (2,745,600) and fern 200 0 (39,800), a few seconds at most
+# the largest half-diagram orbit, in entries of its action arrays (halves
+# times hooks times the degree n): admits fern 16 7 (2,745,600) and fern
+# 200 0 (39,800), a few seconds at most
 FERN_MAX_POINT_PRODUCTS = 1 << 22
 # peak bytes of the check's temporaries per cell and degree, as measured
 # on TL_10 and TL_14 (17-23)
@@ -80,14 +81,14 @@ def _config_line(args, **extra):
     return f"diagsemi {body}"
 
 
-def _enumerate(family, n, bound=census_mod.ENUMERATION_MAX_ELEMENTS,
-               kind="enumeration"):
+def _enumerate(family, n):
     """family_n, or FeasibilityError before any work when its closed-form
-    order is over ``bound``.  The catalog checks that every generator is
-    in the family, so a correct run never passes the closed form and a
-    product fault that does raises LimitExceeded at once."""
+    order is over the enumeration bound.  The catalog checks that every
+    generator is in the family, so a correct run never passes the closed
+    form and a product fault that does raises LimitExceeded at once."""
     order = family_order(family, n)
-    census_mod.check_bound(order, bound, kind, what=f"{family}_{n}")
+    census_mod.check_bound(order, census_mod.ENUMERATION_MAX_ELEMENTS, "enumeration",
+                           what=f"{family}_{n}")
     gens = catalog.standard_generators(family, n)
     return engine.enumerate_family(gens, limit=order)
 
@@ -122,7 +123,9 @@ def cmd_census(args):
     limit = _census_bound()
     census_mod.check_census_bound(family_order(args.family, args.n), limit,
                                   what=f"{args.family}_{args.n}")
-    S = _enumerate(args.family, args.n, limit, "census")
+    # the census bounds admit no ambient near the enumeration bound: the
+    # lookup table's admits none past 384 elements
+    S = _enumerate(args.family, args.n)
     # backend=python is a fixed field of the census header: existing
     # output files carry it and their digests pin those bytes
     config = _config_line(args, backend="python", ambient=len(S))
@@ -183,8 +186,9 @@ def cmd_green(args):
 
 def _check_fern(n, k):
     """Refuse ``fern n k`` before any work when its bitmap or its
-    half-diagram orbit is over its bound: ballot(n, k)^2 cells, and
-    C(n, k) halves times n - 1 generator products of degree n."""
+    half-diagram orbit is over its bound: ballot(n, k)^2 cells, and the
+    entries of the orbit's action arrays, C(n, k) halves of rank at least
+    n - 2k times n - 1 hooks times n points."""
     what = f"TL_{n} D[{k}]"
     census_mod.check_bound(ballot(n, k) ** 2, FERN_MAX_CELLS, "fern cell",
                            what=what, unit="cells")
@@ -198,9 +202,10 @@ def _idempotent_cells(rows, cols):
     fern, which multiplies the diagrams and reads no code of the mask."""
     n = rows.shape[1]
     mask = np.empty((len(rows), len(cols)), dtype=bool)
-    for part in engine.row_chunks(len(rows), len(cols) * n * _CHECK_CELL_BYTES):
-        x = engine.tl_cell_diagrams(rows[part], cols)
-        mask[part] = (engine.tl_products(x, x) == x).all(axis=1).reshape(-1, len(cols))
+    row_bytes = len(cols) * n * _CHECK_CELL_BYTES
+    for part, out in zip(kernels._chunks(rows, row_bytes), kernels._chunks(mask, row_bytes)):
+        x = engine.tl_cell_diagrams(part, cols)
+        out[:] = (engine.tl_products(x, x) == x).all(axis=1).reshape(-1, len(cols))
     return mask
 
 

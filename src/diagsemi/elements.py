@@ -661,6 +661,11 @@ def element_from_json(obj: dict):
         return Bipartition.from_blocks(n, obj["blocks"])
     if t == "map":
         if obj["kind"] == "relation":
-            return MapElement.relation_from_matrix(obj["matrix"])
+            matrix = obj["matrix"]
+            if len(matrix) != n or any(len(row) != n or any(v not in (0, 1) for v in row)
+                                       for row in matrix):
+                raise ValueError(f"a relation of degree {n} needs an {n} x {n} "
+                                 "matrix of 0/1 entries")
+            return MapElement.relation_from_matrix(matrix)
         return MapElement(n, obj["kind"], obj["image"])
     raise ValueError(f"unknown element type {t!r}")

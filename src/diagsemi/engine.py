@@ -34,6 +34,8 @@ from array import array
 
 import numpy as np
 
+from . import kernels
+from .catalog import hook
 from .elements import identity_like
 from .formulas import ballot
 
@@ -431,17 +433,6 @@ def idempotents(S: EnumeratedSemigroup):
 # points, through lines joined in order.
 
 
-def _partners(labels):
-    """The partner array of a TL diagram (see ``tl_cell_diagrams``) from
-    the block labels of its points."""
-    partner = list(range(len(labels)))
-    first = {}
-    for i, b in enumerate(labels):
-        j = first.setdefault(b, i)
-        partner[i], partner[j] = j, i
-    return partner
-
-
 def _first_seen(ids):
     """The ids >= 0 in the order they first occur."""
     order = dict.fromkeys(ids)
@@ -456,10 +447,13 @@ def _least_halves(gens, identity, r, wanted):
     of the first members of the R- and of the L-classes in Froidure-Pin
     order.
 
-    Every generator must be its own mirror image (upper and lower rows
-    swapped), as each e_i of TL_n is.  Mirroring reverses products, so
-    the lower half of x*g is the upper half of g*x', x' the mirror of x,
-    and the lower halves have the orbit and the action of the upper ones.
+    Every generator must be a hook e_i of TL_n, in any order: ``tl_fern``
+    passes the catalog's hooks, and any other letter raises ValueError,
+    even one that is its own mirror image.  A hook is its own mirror
+    image (upper and lower rows swapped), and mirroring reverses
+    products, so the lower half of x*g is the upper half of g*x', x' the
+    mirror of x, and the lower halves have the orbit and the action of
+    the upper ones.
 
     The orbit of the identity's upper half under g*x is searched breadth
     first: level L holds the halves of rank >= r whose shortest word has
@@ -467,48 +461,52 @@ def _least_halves(gens, identity, r, wanted):
     (lower), w' the least word of a half of level L - 1: a shorter word
     for the half of w' would give a shorter one for the half itself.  So
     rows rank a level by letter and then the rank of w', columns by the
-    rank of w' and then letter.  Every (generator, half) product of a
-    level is taken at once by ``tl_products``."""
+    rank of w' and then letter.  Every hook acts on every half of a
+    level at once, on the halves themselves."""
     n = identity.degree
-    dtype = _small_ints(4 * n)
-    points = np.arange(n, dtype=dtype)
-    letters = np.array([_partners(g.assignment) for g in gens],
-                       dtype=dtype).reshape(len(gens), 2 * n)
+    hooks = {hook(n, i): i for i in range(n - 1)}
+    for g in gens:
+        if g not in hooks:
+            raise ValueError(f"{g!r} is not a hook e_i of TL_{n}")
+    at = np.array([hooks[g] for g in gens], dtype=np.intp)
+    points = np.arange(n, dtype=_small_ints(n))
     width = points.nbytes
     seen = {points.tobytes(): 0}
     level, by_row, by_col = points[None, :], [0], [0]
     rows, cols = [], []
     while len(level):
-        # each half glued to its own mirror, through points joined in order
-        through = level == points
-        x = np.hstack([np.where(through, level + n, level),
-                       np.where(through, points, level + n)])
-        target = through.sum(axis=1) == r
+        target = (level == points).sum(axis=1) == r
         rows.append(level[by_row][target[by_row]])
         cols.append(level[by_col][target[by_col]])
-        # act[g, i]: the index in the next level of the upper half of
-        # g * level[i], or -1 when it is of rank < r or of an earlier level
+        # y[g * m + j]: the upper half of gens[g] * level[j].  The hook e_i
+        # puts the cup {i, i + 1} in and joins a and b, the old partners of
+        # i and i + 1: into a cup when both are cup ends, else the one cup
+        # end becomes a through point; two through points close up.  When
+        # {i, i + 1} already is a cup, this writes the half back as it was.
+        m = len(level)
+        y = np.tile(level, (len(at), 1))
+        y_row, i = np.arange(len(y)), np.repeat(at, m)
+        a, b = y[y_row, i], y[y_row, i + 1]
+        y[y_row, a] = np.where(b == i + 1, a, b)
+        y[y_row, b] = np.where(a == i, b, a)
+        y[y_row, i], y[y_row, i + 1] = i + 1, i
+        # act[g, j]: the index in the next level of y[g * m + j], or -1
+        # when it is of rank < r or of an earlier level
         start, fresh = len(seen), []
-        act = np.empty((len(letters), len(level)), dtype=np.int64)
-        for part in row_chunks(len(level), len(letters) * 2 * n * _PRODUCT_BYTES):
-            m = part.stop - part.start
-            y = tl_products(np.repeat(letters, m, axis=0),
-                            np.tile(x[part], (len(letters), 1)))[:, :n]
-            up = y >= n
-            half = np.where(up, points, y).tobytes()
-            found = [-1] * len(y)
-            for i in np.flatnonzero(up.sum(axis=1) >= r).tolist():
-                key = half[i * width:(i + 1) * width]
-                j = seen.setdefault(key, start + len(fresh)) - start
-                if j == len(fresh):
-                    fresh.append(key)
-                if j >= 0:
-                    found[i] = j
-            act[:, part] = np.reshape(found, (len(letters), m))
-        level = np.frombuffer(b"".join(fresh), dtype=dtype).reshape(-1, n)
+        found = [-1] * len(y)
+        halves = y.tobytes()
+        for k in np.flatnonzero((y == points).sum(axis=1) >= r).tolist():
+            key = halves[k * width:(k + 1) * width]
+            j = seen.setdefault(key, start + len(fresh)) - start
+            if j == len(fresh):
+                fresh.append(key)
+            if j >= 0:
+                found[k] = j
+        act = np.reshape(found, (len(at), m))
+        level = np.frombuffer(b"".join(fresh), dtype=points.dtype).reshape(-1, n)
         by_row = _first_seen(act[:, by_row].ravel().tolist())
         by_col = _first_seen(act[:, by_col].T.ravel().tolist())
-    rows, cols = (np.concatenate(h).astype(_small_ints(n)) for h in (rows, cols))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     if len(rows) != wanted:
         raise AssertionError(f"the orbit holds {len(rows)} halves of rank {r}, "
                              f"not {wanted}")
@@ -527,32 +525,18 @@ def _through_points(halves):
     return (np.flatnonzero(halves == np.arange(n)) % n).reshape(R, -1)
 
 
-# the temporaries of one chunk of fern rows; a larger one makes no
-# fern faster but raises the peak RSS of small ones
-_CHUNK_BYTES = 1 << 18
-# peak bytes of the temporaries of ``tl_products`` and the reading of its
-# upper halves, per point of a product, as measured on TL_10 to TL_40 (18-28)
-_PRODUCT_BYTES = 24
-
-
-def row_chunks(rows, row_bytes):
-    """Slices of ``range(rows)`` whose temporaries, at ``row_bytes`` a
-    row, stay within ``_CHUNK_BYTES`` (one row at least)."""
-    step = max(1, _CHUNK_BYTES // max(1, row_bytes))
-    for start in range(0, rows, step):
-        yield slice(start, min(start + step, rows))
-
-
 def tl_fern(gens, position: int):
     """Rows, columns and idempotent mask of the eggbox of TL_n's D-class
     at ``position`` (rank n - 2*position), without enumerating TL_n.
 
-    ``gens`` is a generating set of TL_n with its identity.  Rows and
-    columns are (R, n) and (C, n) arrays of upper and lower halves, in
-    the order ``eggbox`` gives their R- and L-classes; cell (u, v) is
-    black iff the diagram with halves u and v is idempotent, i.e. iff v
-    glued onto u keeps rank: each walk from a through point of v,
-    through cups alternately of u and v, ends at a through point of u."""
+    ``gens`` is a generating set of TL_n with its identity whose other
+    elements are hooks e_i, as the catalog's are; any other element
+    raises ValueError.  Rows and columns are (R, n) and (C, n) arrays of
+    upper and lower halves, in the order ``eggbox`` gives their R- and
+    L-classes; cell (u, v) is black iff the diagram with halves u and v
+    is idempotent, i.e. iff v glued onto u keeps rank: each walk from a
+    through point of v, through cups alternately of u and v, ends at a
+    through point of u."""
     identity = gens.identity
     n = identity.degree
     if not 0 <= position <= n // 2:
@@ -574,13 +558,14 @@ def tl_fern(gens, position: int):
     col_base = np.arange(side)[:, None] * (n + 1)
     starts = _through_points(cols)
     mask = np.empty((side, side), dtype=bool)
-    for part in row_chunks(side, 3 * starts.nbytes):
-        up_flat = up[part].ravel()
-        row_base = np.arange(part.stop - part.start)[:, None, None] * (n + 1)
+    row_bytes = 3 * starts.nbytes
+    for u, out in zip(kernels._chunks(up, row_bytes), kernels._chunks(mask, row_bytes)):
+        u = u.ravel()
+        row_base = np.arange(len(out))[:, None, None] * (n + 1)
         p = starts
         for _ in range(position + 1):
-            p = down[col_base + up_flat[row_base + p]]
-        mask[part] = (p == n).all(axis=2)
+            p = down[col_base + u[row_base + p]]
+        out[:] = (p == n).all(axis=2)
     return rows, cols, mask
 
 

@@ -50,7 +50,8 @@ import numpy as np
 # Read by the benchmark's host record; no kernel here is JIT-compiled.
 numba = None
 
-# Bytes of temporaries that a batched kernel holds per chunk of masks.
+# Bytes of temporaries that a batched kernel, or the TL fern's mask and its
+# check, holds per chunk; more makes no fern faster but raises its peak RSS.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -98,8 +99,9 @@ def _lookup_table(table):
 
 
 def _chunks(items, row_bytes):
-    """``items`` in slices of about ``_CHUNK_BYTES`` at ``row_bytes`` each."""
-    step = max(1, _CHUNK_BYTES // row_bytes)
+    """``items`` in slices of about ``_CHUNK_BYTES`` at ``row_bytes`` each
+    (one item at least)."""
+    step = max(1, _CHUNK_BYTES // max(1, row_bytes))
     return (items[i:i + step] for i in range(0, len(items), step))
 
 

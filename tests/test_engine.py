@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+from diagsemi import engine as engine_module
 from diagsemi.catalog import standard_generators
 from diagsemi.elements import PBR, Bipartition, MapElement
 from diagsemi.engine import (
@@ -262,6 +263,29 @@ def test_least_halves_match_the_product_oracle(n):
             rows, cols = _least_halves(order, gens.identity, r, ballot(n, k))
             assert (list(map(tuple, rows.tolist())), list(map(tuple, cols.tolist()))) == (
                 least_halves_by_products(order, gens.identity, r))
+
+
+def test_least_halves_take_no_diagram_products(monkeypatch):
+    """The hooks act on the halves themselves: TL_10 D[4] is ranked with
+    the batched diagram product unavailable."""
+    def refused(x, y):
+        raise AssertionError("tl_products called")
+
+    monkeypatch.setattr(engine_module, "tl_products", refused)
+    gens = standard_generators("TL", 10)
+    letters = [g for g in gens.elements if g != gens.identity]
+    rows, cols = _least_halves(letters, gens.identity, 2, ballot(10, 4))
+    assert (list(map(tuple, rows.tolist())), list(map(tuple, cols.tolist()))) == (
+        least_halves_by_products(letters, gens.identity, 2))
+
+
+def test_least_halves_refuse_a_letter_that_is_not_a_hook():
+    """e_1·e_3 of TL_4 is its own mirror image but not a hook."""
+    gens = standard_generators("TL", 4)
+    e1, e2, e3 = gens.elements
+    for r in (4, 2, 0):
+        with pytest.raises(ValueError, match="is not a hook e_i of TL_4"):
+            _least_halves([e1, e2, e3, e1 * e3], gens.identity, r, ballot(4, (4 - r) // 2))
 
 
 def test_least_halves_refuse_a_wrong_count():

@@ -50,6 +50,20 @@ def test_element_json_shapes():
                  "matrix": [[0, 1], [1, 1]]}
 
 
+@pytest.mark.parametrize("matrix", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],  # degree 3, declared 2
+    [[1, 0]],  # too few rows
+    [[1, 0], [0, 1, 0]],  # a ragged row
+    [[1, 0], [0]],
+    [[2, 0], [0, 1]],  # not 0/1
+    [[1, -1], [0, 1]],
+])
+def test_relation_json_must_be_a_degree_square_of_bits(matrix):
+    doc = {"type": "map", "degree": 2, "kind": "relation", "matrix": matrix}
+    with pytest.raises(ValueError, match="relation of degree 2"):
+        element_from_json(doc)
+
+
 def test_pgm_writer(tmp_path):
     bitmap = np.array([[True, False], [False, True], [True, True]])
     path = tmp_path / "grid.pgm"
