@@ -36,7 +36,7 @@ import numpy as np
 from .elements import PointPermutation, conjugate
 from .engine import EnumeratedSemigroup
 from .formulas import decimal_string
-from .kernels import Backend, lookup_bytes, pack_masks, unpack_masks
+from .kernels import Backend, pack_masks, unpack_masks
 
 
 class FeasibilityError(RuntimeError):
@@ -45,14 +45,13 @@ class FeasibilityError(RuntimeError):
 
 
 # The two feasibility bounds, in elements, that the command line checks
-# against the closed-form order; only the census bound can be overridden.
-# The enumeration bound admits TL_12 (208,012) and refuses TL_13 (742,900).
-DEFAULT_MAX_ELEMENTS = 64
+# against the closed-form order.  The census bound admits S_5 (120), the
+# largest ambient of any census the suite gates, and refuses TL_6 (132),
+# whose search is out of reach; at 128 elements the search's lookup table
+# takes 8 MiB.  The enumeration bound admits TL_12 (208,012) and refuses
+# TL_13 (742,900).
+CENSUS_MAX_ELEMENTS = 128
 ENUMERATION_MAX_ELEMENTS = 250_000
-# The bytes of the closed-set search's lookup table (``lookup_bytes``) that
-# the census admits: every ambient up to 384 elements (T_4 has 256, a
-# table of 64 MiB), but not S_6 (720 elements, a table of 1.5 GiB).
-CENSUS_MAX_TABLE_BYTES = 1 << 28
 # The symmetry group is found by trying all n! point permutations.
 SYMMETRY_MAX_DEGREE = 8
 
@@ -65,13 +64,9 @@ def check_bound(n, bound, kind, what="ambient", unit="elements"):
             f"{what} has {decimal_string(n)} {unit}, over the {kind} bound of {bound}")
 
 
-def check_census_bound(n, max_elements=None, what="ambient"):
-    """Refuse an ambient of ``n`` elements over the census bound, or one
-    whose lookup table is over the census's bound in bytes."""
-    check_bound(n, DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements,
-                "census", what=what)
-    check_bound(lookup_bytes(n), CENSUS_MAX_TABLE_BYTES, "census",
-                what=f"the lookup table of {what}", unit="bytes")
+def check_census_bound(n, what="ambient"):
+    """Refuse an ambient of ``n`` elements over the census bound."""
+    check_bound(n, CENSUS_MAX_ELEMENTS, "census", what=what)
 
 
 class SymmetryGroup:
@@ -90,10 +85,7 @@ def symmetry_group(S: EnumeratedSemigroup) -> SymmetryGroup:
     n = S.degree
     if n is None:
         raise ValueError("ambient semigroup has no diagram degree")
-    if n > SYMMETRY_MAX_DEGREE:
-        raise FeasibilityError(
-            f"symmetry filtering over S_{n} refused (bound {SYMMETRY_MAX_DEGREE})"
-        )
+    check_bound(n, SYMMETRY_MAX_DEGREE, "symmetry", unit="points")
     kept, rows = [], []
     for image in permutations(range(n)):
         sigma = PointPermutation(image)
@@ -140,9 +132,9 @@ def _root(n):
     return pack_masks([0], n), np.zeros(1, np.intp)
 
 
-def all_subsemigroup_masks(S, max_elements=None):
+def all_subsemigroup_masks(S):
     """Every product-closed subset of S, as a sorted list of bitmasks."""
-    check_census_bound(len(S), max_elements)
+    check_census_bound(len(S))
     trivial_group = np.arange(len(S))[None]
     kernels = Backend(S.multiplication_table(), trivial_group)
     return sorted(chain.from_iterable(map(unpack_masks, _closed_sets(kernels, *_root(len(S))))))
@@ -181,8 +173,11 @@ def _census_subtree(roots):
     records, found = [], Counter()
     for masks in _closed_sets(kernels, *roots):
         reps, orbits = kernels.min_image(masks)
-        images, counts = np.unique(reps, axis=0, return_counts=True)
-        found.update(dict(zip(unpack_masks(images), counts.tolist())))
+        # one void value a row: np.unique sorts these far faster than rows by axis=0
+        nb = reps.shape[1]
+        images, counts = np.unique(reps.view(f"V{nb}").ravel(), return_counts=True)
+        found.update(dict(zip(unpack_masks(images.view(np.uint8).reshape(-1, nb)),
+                              counts.tolist())))
         own = (masks == reps).all(axis=1)
         own_masks = masks[own]
         records += [CensusRecord(mask=m, orbit_size=orbit, size=m.bit_count(), d_classes=d,
@@ -193,11 +188,11 @@ def _census_subtree(roots):
     return records, found
 
 
-def census_up_to_conjugacy(S, G=None, max_elements=None, jobs=1):
+def census_up_to_conjugacy(S, G=None, jobs=1):
     """One record per conjugacy class of subsemigroups, ordered by
     representative mask; returns (records, raw_total)."""
     global _AMBIENT
-    check_census_bound(len(S), max_elements)
+    check_census_bound(len(S))
     if G is None:
         G = symmetry_group(S)
     table = S.multiplication_table()
@@ -230,17 +225,16 @@ def census_up_to_conjugacy(S, G=None, max_elements=None, jobs=1):
     return records, raw_total
 
 
-def subgroup_census(S, G=None, max_elements=None, jobs=1):
+def subgroup_census(S, G=None, jobs=1):
     """Conjugacy classes of subgroups of a group ambient.
 
     Every nonempty closed subset of a finite group is a subgroup, so
     this is the subsemigroup census with the empty set dropped (the one
     row of the published table that excludes it)."""
-    check_census_bound(len(S), max_elements)
+    check_census_bound(len(S))
     if len(_units(S.multiplication_table())) != len(S):
         raise ValueError("ambient is not a group")
-    records, _ = census_up_to_conjugacy(S, G=G, max_elements=max_elements,
-                                        jobs=jobs)
+    records, _ = census_up_to_conjugacy(S, G=G, jobs=jobs)
     nonempty = [r for r in records if r.size > 0]
     for r in nonempty:
         if not r.mask & 1:

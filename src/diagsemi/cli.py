@@ -10,15 +10,14 @@ Families: PB B PT T I S P IS Br TL (see README for the notation map).
 
 Every command compares the closed-form size of its work with a bound
 before it builds generators or enumerates anything: ``census`` the order
-with the census bound (64 elements, overridden by DIAGSEMI_MAX_ELEMENTS)
-and the bytes of its search's lookup table with CENSUS_MAX_TABLE_BYTES (2^28),
-``order`` and ``green`` the order with the fixed enumeration bound of
-250,000 elements.  ``fern`` never enumerates TL_n: it bounds its bitmap
-by FERN_MAX_CELLS (2^24 cells) and its one half-diagram orbit, in
-point-products (the entries of the orbit's action arrays: halves times
-hooks times the degree n), by FERN_MAX_POINT_PRODUCTS (2^22).  ``order``
-then skips its enumeration; ``census``, ``green`` and ``fern`` exit 2,
-as they do when an output file cannot be written.
+with the census bound of 128 elements, ``order`` and ``green`` with the
+enumeration bound of 250,000 elements.  ``fern`` never enumerates TL_n:
+it bounds its bitmap by FERN_MAX_CELLS (2^24 cells) and its one
+half-diagram orbit, in point-products (the entries of the orbit's action
+arrays: halves times hooks times the degree n), by
+FERN_MAX_POINT_PRODUCTS (2^22).  ``order`` then skips its enumeration;
+``census``, ``green`` and ``fern`` exit 2, as they do when an output
+file cannot be written.
 
 Exit status is 0 only when every verification the command performs
 reports MATCH.
@@ -26,7 +25,6 @@ reports MATCH.
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -45,21 +43,6 @@ FERN_MAX_POINT_PRODUCTS = 1 << 22
 # peak bytes of the check's temporaries per cell and degree, as measured
 # on TL_10 and TL_14 (17-23)
 _CHECK_CELL_BYTES = 24
-
-
-def _census_bound():
-    """The census bound: DIAGSEMI_MAX_ELEMENTS, a whole number of at least
-    1, or the default where it is unset or blank."""
-    value = os.environ.get("DIAGSEMI_MAX_ELEMENTS", "").strip()
-    if not value:
-        return census_mod.DEFAULT_MAX_ELEMENTS
-    try:
-        bound = int(value)
-    except ValueError:
-        raise ValueError(f"DIAGSEMI_MAX_ELEMENTS must be a whole number, got {value!r}") from None
-    if bound < 1:
-        raise ValueError(f"DIAGSEMI_MAX_ELEMENTS must be at least 1, got {bound}")
-    return bound
 
 
 def _positive_int(text):
@@ -120,18 +103,15 @@ def cmd_census(args):
     if args.raw and args.stats:
         raise ValueError("--stats is not available with --raw, "
                          "which counts the subsemigroups only")
-    limit = _census_bound()
-    census_mod.check_census_bound(family_order(args.family, args.n), limit,
+    census_mod.check_census_bound(family_order(args.family, args.n),
                                   what=f"{args.family}_{args.n}")
-    # the census bounds admit no ambient near the enumeration bound: the
-    # lookup table's admits none past 384 elements
     S = _enumerate(args.family, args.n)
     # backend=python is a fixed field of the census header: existing
     # output files carry it and their digests pin those bytes
     config = _config_line(args, backend="python", ambient=len(S))
 
     if args.family == "S":
-        total = census_mod.subgroup_census(S, max_elements=limit, jobs=args.jobs)
+        total = census_mod.subgroup_census(S, jobs=args.jobs)
         print(f"subgroup classes of S_{args.n} up to conjugacy: {total}")
         if args.raw:
             print("(the symmetric-group row always counts conjugacy classes "
@@ -139,12 +119,11 @@ def cmd_census(args):
         return 0
 
     if args.raw:
-        total = len(census_mod.all_subsemigroup_masks(S, max_elements=limit))
+        total = len(census_mod.all_subsemigroup_masks(S))
         print(f"subsemigroups of {args.family}_{args.n}: {total}")
         return 0
 
-    records, raw_total = census_mod.census_up_to_conjugacy(
-        S, max_elements=limit, jobs=args.jobs)
+    records, raw_total = census_mod.census_up_to_conjugacy(S, jobs=args.jobs)
     print(f"subsemigroups of {args.family}_{args.n} up to conjugacy: {len(records)}")
     print(f"raw subsemigroups: {raw_total}")
     if args.stats:

@@ -21,9 +21,8 @@ are set in b.  ``x·C ∪ C·x`` is then the OR of the ⌈N/8⌉ rows picked by
 the bytes of C, and one ``np.bitwise_or.reduceat`` ORs them over the
 members x of D of each row.  The search holds its sets, and the table
 its rows, in whole uint64 words, which gather and OR several times
-faster than bytes: the table takes N·⌈N/8⌉·256·8⌈N/64⌉ bytes
-(``lookup_bytes``), which the census checks against its bound before
-building it.
+faster than bytes: the table takes N·⌈N/8⌉·256·8⌈N/64⌉ bytes, 8 MiB at
+the census bound of 128 elements.
 
 The fold and the per-class statistics take the packed rows of one level
 and work on them in numpy, unpacked to a bool array of one row per mask.
@@ -67,11 +66,6 @@ def unpack_masks(rows):
     nb = rows.shape[1]
     raw = np.ascontiguousarray(rows).tobytes()
     return [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
-
-
-def lookup_bytes(n):
-    """The bytes of the search's lookup table over ``n`` elements."""
-    return n * ((n + 7) // 8) * 256 * 8 * ((n + 63) // 64)
 
 
 def _words(bits):

@@ -20,6 +20,7 @@ from diagsemi.census import (
 from diagsemi.elements import MapElement
 from diagsemi.embeddings import embed
 from diagsemi.engine import enumerate_semigroup
+from diagsemi.formulas import family_order
 from diagsemi.kernels import Backend, _lookup_table, pack_masks, unpack_masks
 
 from .conftest import monoid
@@ -43,17 +44,12 @@ TABLE3 = [
 # Raw closed sets (the empty one included) that the census tests also assert
 RAW_SETS = {("Br", 4): 178323, ("PT", 3): 546834}
 
-# S_5 (120 elements) and Br_4 (105) are over the default bound and wider
-# than 64 bits; they run under a bound of 200
-WIDE = {("S", 5), ("Br", 4)}
-
 
 def _census_count(family, n):
     S = monoid(family, n)
-    max_elements = 200 if (family, n) in WIDE else None
     if family == "S":
-        return subgroup_census(S, max_elements=max_elements)
-    records, raw = census_up_to_conjugacy(S, max_elements=max_elements)
+        return subgroup_census(S)
+    records, raw = census_up_to_conjugacy(S)
     if (family, n) in RAW_SETS:
         assert raw == RAW_SETS[family, n]
     return len(records)
@@ -94,15 +90,14 @@ def test_search_agrees_with_subset_scan(family, n):
 ])
 def test_raw_counts_past_the_subset_scan(family, n, raw):
     """Raw closed-set counts on ambients too large for the subset scan."""
-    max_elements = 200 if (family, n) in WIDE else None
-    assert len(all_subsemigroup_masks(monoid(family, n), max_elements=max_elements)) == raw
+    assert len(all_subsemigroup_masks(monoid(family, n))) == raw
 
 
 def test_s5_search_is_fast():
     S = monoid("S", 5)
     S.multiplication_table()
     start = time.perf_counter()
-    masks = all_subsemigroup_masks(S, max_elements=200)
+    masks = all_subsemigroup_masks(S)
     assert time.perf_counter() - start < 1.0
     assert len(masks) == 157
 
@@ -201,13 +196,31 @@ def test_histogram_perm_filter():
 
 
 def test_feasibility_bound_refuses_not_lies():
-    S = monoid("T", 3)
-    with pytest.raises(FeasibilityError):
-        all_subsemigroup_masks(S, max_elements=10)
-    with pytest.raises(FeasibilityError):
-        census_up_to_conjugacy(S, max_elements=10)
-    with pytest.raises(FeasibilityError, match="bound of 10"):
-        subgroup_census(monoid("S", 4), max_elements=10)
+    """TL_6 (132 elements) is over the census bound: every entry point
+    refuses it with the one message of the bound."""
+    S = monoid("TL", 6)
+    message = "^ambient has 132 elements, over the census bound of 128$"
+    for entry in (all_subsemigroup_masks, census_up_to_conjugacy, subgroup_census):
+        with pytest.raises(FeasibilityError, match=message):
+            entry(S)
+
+
+def test_census_bound_admits_every_gated_row_and_refuses_tl6():
+    """The census bound admits the largest ambient of TABLE3 (S_5, 120
+    elements) and refuses the next catalog ambient, TL_6."""
+    largest = max(family_order(f, n) for f, n, _ in TABLE3)
+    assert largest <= census.CENSUS_MAX_ELEMENTS < family_order("TL", 6)
+
+
+def test_symmetry_bound_refuses_before_trying_a_permutation(monkeypatch):
+    """The group of one 9-cycle is refused by its degree, before the
+    census tries any of the 9! point permutations."""
+    cycle = enumerate_semigroup([MapElement(9, "permutation", [(i + 1) % 9 for i in range(9)])])
+    assert len(cycle) == 9
+    monkeypatch.setattr(census, "permutations", lambda *_: pytest.fail("tried a permutation"))
+    with pytest.raises(FeasibilityError,
+                       match="^ambient has 9 points, over the symmetry bound of 8$"):
+        census_up_to_conjugacy(cycle)
 
 
 @pytest.mark.parametrize("family,n", [("T", 3), ("I", 3), ("P", 2), ("TL", 4), ("B", 2)])

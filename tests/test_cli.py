@@ -190,7 +190,6 @@ def test_census_jobs_byte_identical_across_slices(tmp_path, capsys, monkeypatch)
 def test_census_jobs_byte_identical_wider_than_64(tmp_path, capsys, monkeypatch):
     """Br_4 (105 elements, two 64-bit words a mask) writes the same files
     with one and two jobs."""
-    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "200")
     monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
     files = []
     for jobs in (1, 2):
@@ -368,51 +367,15 @@ def test_unsupported_family_degree_errors(capsys):
     assert "error" in err
 
 
-def test_feasibility_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "10")
-    code, _, err = run_cli(capsys, "census", "T", "3")
-    assert code == 2 and "bound" in err
-    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "64")
-    code, _, _ = run_cli(capsys, "census", "T", "3")
-    assert code == 0
-
-
-def test_feasibility_env_bounds_subgroup_census(capsys, monkeypatch):
-    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "10")
-    code, out, err = run_cli(capsys, "census", "S", "4")
-    assert code == 2 and "bound of 10" in err and not out
-
-
-@pytest.mark.parametrize("family,n,order", [("S", 6, 720), ("Br", 6, 10395)])
-def test_census_refuses_before_enumerating(capsys, family, n, order):
+@pytest.mark.parametrize("family,n,order", [("TL", 6, 132), ("S", 6, 720), ("Br", 6, 10395)])
+def test_census_refuses_before_enumerating(capsys, monkeypatch, family, n, order):
+    monkeypatch.setattr(engine, "enumerate_family",
+                        lambda *_, **__: pytest.fail("census enumerated"))
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, "census", family, n)
-    assert code == 2 and f"{order} elements" in err and "bound of 64" in err
-    assert time.perf_counter() - start < 1.0
-
-
-@pytest.mark.parametrize("value,message", [
-    ("abc", "must be a whole number, got 'abc'"),
-    ("12x", "must be a whole number, got '12x'"),
-    ("0", "must be at least 1, got 0"),
-    ("-3", "must be at least 1, got -3"),
-])
-def test_census_bound_must_be_a_positive_whole_number(capsys, monkeypatch, value, message):
-    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", value)
-    code, out, err = run_cli(capsys, "census", "T", 2)
+    code, out, err = run_cli(capsys, "census", family, n)
     assert code == 2 and not out
-    assert err == f"error: DIAGSEMI_MAX_ELEMENTS {message}\n"
-
-
-def test_census_refuses_a_lookup_table_over_its_bound(capsys, monkeypatch):
-    """S_6 is within a census bound of 720 elements, but the lookup table
-    of its search is not: the census refuses it before enumerating."""
-    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "720")
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "census", "S", 6)
-    assert code == 2 and not out
-    assert ("the lookup table of S_6 has 1592524800 bytes, "
-            "over the census bound of 268435456") in err
+    assert err == (f"error: {family}_{n} has {order} elements, "
+                   "over the census bound of 128\n")
     assert time.perf_counter() - start < 1.0
 
 
@@ -432,7 +395,7 @@ def test_closed_form_at_any_degree(capsys):
     assert f"closed form: {_bell_triangle(600)}\n" in out
     assert "infeasible" in out
     code, out, err = run_cli(capsys, "census", "P", 300)
-    assert code == 2 and "over the census bound of 64" in err and not out
+    assert code == 2 and "over the census bound of 128" in err and not out
 
 
 def _digits(n):
@@ -450,26 +413,23 @@ def test_order_prints_closed_form_past_4300_digits(capsys):
 def test_census_refuses_past_4300_digits(capsys):
     code, out, err = run_cli(capsys, "census", "PB", 60)
     assert code == 2 and not out
-    assert f"PB_60 has {_digits(1 << 14400)} elements, over the census bound of 64" in err
+    assert f"PB_60 has {_digits(1 << 14400)} elements, over the census bound of 128" in err
 
 
-def test_census_bound_leaves_green_alone(capsys, monkeypatch):
-    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "105")
+def test_census_bound_leaves_green_alone(capsys):
     code, out, _ = run_cli(capsys, "green", "P", 4)
     assert code == 0 and "P_4: 4140 elements" in out
 
 
-def test_census_bound_leaves_order_alone(capsys, monkeypatch):
-    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "200")
+def test_census_bound_leaves_order_alone(capsys):
     code, out, _ = run_cli(capsys, "order", "T", 4)
     assert code == 0 and "enumerated:  256  MATCH" in out
 
 
-def test_census_bound_leaves_fern_alone(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DIAGSEMI_MAX_ELEMENTS", "200")
+def test_census_bound_leaves_fern_alone(tmp_path, capsys):
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "fern", 18, 8, "--out", tmp_path / "x.pgm")
-    assert code == 2 and "142420356 cells" in err and "200" not in err
+    assert code == 2 and "142420356 cells" in err and "census" not in err
     assert time.perf_counter() - start < 1.0
     code, out, _ = run_cli(capsys, "fern", 8, 2, "--out", tmp_path / "x.pgm")
     assert code == 0 and "20x20 bitmap" in out and "MATCH" in out

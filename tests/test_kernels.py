@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from diagsemi import kernels as kernels_module
+from diagsemi import census, kernels as kernels_module
 from diagsemi.census import all_subsemigroup_masks, symmetry_group
 from diagsemi.formulas import family_order
 from diagsemi.kernels import Backend, pack_masks, unpack_masks
@@ -140,11 +140,12 @@ def test_search_against_the_python_closure_wider_than_64():
     _check_search_against_the_oracle(table, states)
 
 
-@pytest.mark.parametrize("n", [1, 8, 9, 64, 65, 70])
-def test_lookup_bytes_is_the_size_of_the_table(n):
-    """The census bounds the lookup table by ``lookup_bytes`` before it
-    builds it: the two must agree."""
-    assert kernels_module._lookup_table(_capped_sum(n)).nbytes == kernels_module.lookup_bytes(n)
+def test_lookup_table_at_the_census_bound_is_8_mib():
+    """At the census bound the search's lookup table takes 8 MiB, so no
+    ambient the census admits needs a bound on the table of its own."""
+    n = census.CENSUS_MAX_ELEMENTS
+    assert n == 128
+    assert kernels_module._lookup_table(_capped_sum(n)).nbytes == 1 << 23
 
 
 def test_min_image_and_dclasses_wider_than_64():
