@@ -17,10 +17,10 @@ closes every candidate of a level together, over packed mask rows (see
 classes, which maps every mask through the ambient symmetry group (the
 point permutations fixing the element set) and keeps the minimal image,
 where masks compare as plain integers with element i at bit i; then the
-statistics of the level's representatives are counted.  The subtrees
-below the empty set share nothing, so with one job the census searches
-the whole tree from the empty set, and with ``jobs`` forked workers it
-hands them one subtree each.
+statistics of the level's representatives are counted.  The states of a
+level share nothing, so each level is cut into at most ``jobs`` slices
+of about equal weight, and one job, or each of ``jobs`` forked workers,
+folds, counts and extends one slice at a time.
 """
 
 import json
@@ -29,14 +29,14 @@ import os
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import permutations, starmap
 
 import numpy as np
 
 from .elements import PointPermutation, conjugate
 from .engine import EnumeratedSemigroup
 from .formulas import decimal_string
-from .kernels import Backend, pack_masks, unpack_masks
+from .kernels import Backend, _spans, pack_masks, unpack_masks
 
 
 class FeasibilityError(RuntimeError):
@@ -118,29 +118,25 @@ def _units(table):
     return np.flatnonzero((table == 0).any(axis=1))
 
 
-def _closed_sets(kernels, masks, lo):
-    """Every closed set of the Close-by-One subtrees below the states
-    (masks, lo), as packed rows one level at a time, the roots first."""
-    while len(masks):
-        yield masks
-        children = kernels.extend_window(masks, lo)
-        masks, lo = children["mask"], children["e"] + 1
-
-
 def _root(n):
     """The state of the whole search: the empty set, adjoining from 0."""
     return pack_masks([0], n), np.zeros(1, np.intp)
 
 
 def all_subsemigroup_masks(S):
-    """Every product-closed subset of S, as a sorted list of bitmasks."""
+    """Every product-closed subset of S, as a sorted list of bitmasks,
+    found one level of the search at a time."""
     check_census_bound(len(S))
-    trivial_group = np.arange(len(S))[None]
-    kernels = Backend(S.multiplication_table(), trivial_group)
-    return sorted(chain.from_iterable(map(unpack_masks, _closed_sets(kernels, *_root(len(S))))))
+    kernels = Backend(S.multiplication_table(), np.arange(len(S))[None])  # trivial group
+    found, (masks, lo) = [], _root(len(S))
+    while len(masks):
+        found += unpack_masks(masks)
+        children = kernels.extend_window(masks, lo)
+        masks, lo = children["mask"], children["e"] + 1
+    return sorted(found)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # no __dict__: a census holds one record a class
 class CensusRecord:
     mask: int  # representative: minimal image over the symmetry group
     orbit_size: int
@@ -161,31 +157,31 @@ class CensusRecord:
 
 
 # (kernels, mask of the non-identity units) of the running census,
-# read by _census_subtree: a forked pool inherits it, so nothing is pickled
+# read by _census_level: a forked pool inherits it, so nothing is pickled
 _AMBIENT = None
 
 
-def _census_subtree(roots):
-    """The records of the closed sets below the ``roots`` states that are
-    their own minimal image, and how many sets each minimal image has.
-    The sets are folded and counted one level of the search at a time."""
+def _census_level(states):
+    """The census of one slice ``states`` (masks, lo) of a level of the
+    search: the states of its children, the fields of the records of its
+    sets that are their own minimal image, and how many of its sets each
+    minimal image has."""
     kernels, perm_bits = _AMBIENT
-    records, found = [], Counter()
-    for masks in _closed_sets(kernels, *roots):
-        reps, orbits = kernels.min_image(masks)
-        # one void value a row: np.unique sorts these far faster than rows by axis=0
-        nb = reps.shape[1]
-        images, counts = np.unique(reps.view(f"V{nb}").ravel(), return_counts=True)
-        found.update(dict(zip(unpack_masks(images.view(np.uint8).reshape(-1, nb)),
-                              counts.tolist())))
-        own = (masks == reps).all(axis=1)
-        own_masks = masks[own]
-        records += [CensusRecord(mask=m, orbit_size=orbit, size=m.bit_count(), d_classes=d,
-                                 idempotents=e, has_nontrivial_perm=bool(m & perm_bits))
-                    for m, orbit, d, e in zip(unpack_masks(own_masks), orbits[own].tolist(),
-                                              kernels.count_dclasses(own_masks),
-                                              kernels.count_idempotents(own_masks))]
-    return records, found
+    masks, lo = states
+    reps, orbits = kernels.min_image(masks)
+    own = (masks == reps).all(axis=1)
+    # one void value a row: np.unique sorts these far faster than rows by axis=0
+    nb = reps.shape[1]
+    images, counts = np.unique(reps.view(f"V{nb}").ravel(), return_counts=True)
+    own_masks = masks[own]
+    # a tuple of fields a record, which a worker pickles far faster than records
+    fields = [(m, orbit, m.bit_count(), d, e, bool(m & perm_bits))
+               for m, orbit, d, e in zip(unpack_masks(own_masks), orbits[own].tolist(),
+                                         kernels.count_dclasses(own_masks),
+                                         kernels.count_idempotents(own_masks))]
+    children = kernels.extend_window(masks, lo)
+    found = dict(zip(unpack_masks(images.view(np.uint8).reshape(-1, nb)), counts.tolist()))
+    return (children["mask"], children["e"] + 1), fields, found
 
 
 def census_up_to_conjugacy(S, G=None, jobs=1):
@@ -196,22 +192,25 @@ def census_up_to_conjugacy(S, G=None, jobs=1):
     if G is None:
         G = symmetry_group(S)
     table = S.multiplication_table()
-    kernels = Backend(table, G.index_perms)
-    _AMBIENT = kernels, sum(1 << int(i) for i in _units(table)[1:])
+    _AMBIENT = Backend(table, G.index_perms), sum(1 << int(i) for i in _units(table)[1:])
     try:
-        roots = [_root(len(S))]
         jobs = min(jobs, _usable_cpus())
-        if jobs > 1:
-            # the empty set alone, then one task per subtree below it, as
-            # their sizes differ by orders of magnitude
-            first = kernels.extend_window(*roots[0])
-            roots = [(roots[0][0], np.array([len(S)]))] + [
-                (first["mask"][k:k + 1], first["e"][k:k + 1] + 1) for k in range(len(first))]
         records, found = [], Counter()
         with multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
-            for part, counts in (pool.imap_unordered if pool else map)(_census_subtree, roots):
-                records += part
-                found.update(counts)  # Counter.update adds where dict.update overwrites
+            # each level is the children of the slices of the one before, cut into
+            # at most ``jobs`` slices of about equal weight (N - lo bounds a state's
+            # candidates)
+            level = [_root(len(S))]
+            while sum(len(masks) for masks, _ in level):
+                masks, lo = map(np.concatenate, zip(*level))
+                level, weights = [], len(S) - lo
+                slices = [(masks[s], lo[s]) for s in _spans(weights, -(-weights.sum() // jobs))]
+                del masks, lo, weights  # from here on the slices alone hold the level
+                for kids, part, counts in (pool.map if pool else map)(_census_level, slices):
+                    level.append(kids)
+                    records += starmap(CensusRecord, part)
+                    found.update(counts)  # Counter.update adds where dict.update overwrites
+                del slices, kids, part, counts  # free the level before the next is built
     finally:
         _AMBIENT = None  # the tables are not kept past the call, nor past a failure
     records.sort(key=lambda r: r.mask)

@@ -181,14 +181,16 @@ def _idempotent_cells(rows, cols):
     fern, which multiplies the diagrams and reads no code of the mask."""
     n = rows.shape[1]
     mask = np.empty((len(rows), len(cols)), dtype=bool)
-    row_bytes = len(cols) * n * _CHECK_CELL_BYTES
-    for part, out in zip(kernels._chunks(rows, row_bytes), kernels._chunks(mask, row_bytes)):
-        x = engine.tl_cell_diagrams(part, cols)
-        out[:] = (engine.tl_products(x, x) == x).all(axis=1).reshape(-1, len(cols))
+    step = kernels._CHUNK_BYTES // (len(cols) * n * _CHECK_CELL_BYTES)
+    for part in kernels._spans(len(rows), step):
+        x = engine.tl_cell_diagrams(rows[part], cols)
+        mask[part] = (engine.tl_products(x, x) == x).all(axis=1).reshape(-1, len(cols))
     return mask
 
 
 def cmd_fern(args):
+    if args.n < 1:  # before the index, which no such degree has
+        raise catalog.UnsupportedFamilyDegree("degree must be >= 1")
     if not 0 <= args.dclass <= args.n // 2:
         print(f"TL_{args.n} has no D-class index {args.dclass}", file=sys.stderr)
         return 2

@@ -558,9 +558,9 @@ def tl_fern(gens, position: int):
     col_base = np.arange(side)[:, None] * (n + 1)
     starts = _through_points(cols)
     mask = np.empty((side, side), dtype=bool)
-    row_bytes = 3 * starts.nbytes
-    for u, out in zip(kernels._chunks(up, row_bytes), kernels._chunks(mask, row_bytes)):
-        u = u.ravel()
+    step = kernels._CHUNK_BYTES // max(1, 3 * starts.nbytes)
+    for part in kernels._spans(side, step):
+        u, out = up[part].ravel(), mask[part]
         row_base = np.arange(len(out))[:, None, None] * (n + 1)
         p = starts
         for _ in range(position + 1):

@@ -37,7 +37,9 @@ and one stacked boolean square of those s x s matrices gives every
 principal ideal.  A member starts a new D-class when no lower member has
 the same ideal.
 
-Every kernel works in chunks of about ``_CHUNK_BYTES`` of temporaries.
+Every kernel works in chunks of about ``_CHUNK_BYTES`` of temporaries,
+cut by ``_spans`` into slices of consecutive items of about equal weight,
+as the census cuts each level of its search into its job slices.
 A ``Backend`` holds the tables of one ambient (the lookup table, the
 multiplication table and the element-index permutations of its symmetry
 group), all built once by its constructor.  ``census`` builds one per
@@ -92,19 +94,14 @@ def _lookup_table(table):
     return out.reshape(n * nb * 256, -1)
 
 
-def _chunks(items, row_bytes):
-    """``items`` in slices of about ``_CHUNK_BYTES`` at ``row_bytes`` each
-    (one item at least)."""
-    step = max(1, _CHUNK_BYTES // max(1, row_bytes))
-    return (items[i:i + step] for i in range(0, len(items), step))
-
-
-def _spans(weights, row_bytes):
-    """Slices of consecutive items whose ``weights`` (rows of temporaries
-    each, at ``row_bytes`` a row) add up to about ``_CHUNK_BYTES``."""
-    step = max(1, _CHUNK_BYTES // row_bytes)
-    ends = np.cumsum(weights)
-    cuts = np.searchsorted(ends, np.arange(step, ends[-1], step), side="right")
+def _spans(weights, step):
+    """Slices of consecutive items whose ``weights`` add up to about
+    ``step`` each (one item at least), where a number ``weights`` is that
+    many items of weight one; none for no items."""
+    step = max(1, step)
+    ends = np.arange(1, weights + 1) if np.isscalar(weights) else np.cumsum(weights)
+    cuts = np.searchsorted(ends, np.arange(step, ends[-1] if len(ends) else 0, step),
+                           side="right")
     bounds = sorted({0, len(ends), *cuts.tolist()})
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
@@ -147,7 +144,7 @@ class Backend:
             return np.empty(0, self._children)
         out = []
         # n - lo bounds the candidates of a state
-        for part in _spans(n - lo, self._pair_bytes):
+        for part in _spans(n - lo, _CHUNK_BYTES // self._pair_bytes):
             free = ~self._bits(masks[part])[:, :n] & (np.arange(n) >= lo[part, None])
             state, e = np.nonzero(free)
             out.append(self._close(masks, state + part.start, e))
@@ -185,8 +182,8 @@ class Backend:
         nb = self._bytes
         out = np.zeros_like(c)
         index = c.view(np.uint8)[:, :nb]
-        pair_bytes = self._pair_bytes
-        for r, x in zip(_chunks(rows, pair_bytes), _chunks(xs, pair_bytes)):
+        for part in _spans(len(rows), _CHUNK_BYTES // self._pair_bytes):
+            r, x = rows[part], xs[part]
             # the ⌈N/8⌉ lookup rows of every pair, then their OR per row
             chunks = np.take(self._lookup, (self._cells[x] + index[r]).ravel(), axis=0)
             starts = np.flatnonzero(np.diff(r, prepend=-1))
@@ -198,7 +195,8 @@ class Backend:
         packed rows, and the number of its distinct images (its orbit size)."""
         reps, orbits = [np.empty((0, self._bytes), np.uint8)], [np.empty(0, int)]
         nb = self._bytes
-        for chunk in _chunks(masks, len(self._preimages)):
+        for part in _spans(len(masks), _CHUNK_BYTES // len(self._preimages)):
+            chunk = masks[part]
             # the |G| images of each mask as big-endian byte strings
             images = np.packbits(np.take(self._bits(chunk), self._preimages, axis=1), axis=1)
             images = np.sort(images.view(f"S{nb}"), axis=1)
@@ -217,8 +215,9 @@ class Backend:
         sizes = bits.sum(axis=1)
         counts = np.zeros(len(masks), int)
         for s in set(sizes.tolist()) - {0}:
-            for rows in _chunks(np.flatnonzero(sizes == s), 24 * s * s):
-                counts[rows] = self._dclasses_of_size(bits[rows], s)
+            rows = np.flatnonzero(sizes == s)
+            for part in _spans(len(rows), _CHUNK_BYTES // (24 * s * s)):
+                counts[rows[part]] = self._dclasses_of_size(bits[rows[part]], s)
         return counts.tolist()
 
     def _dclasses_of_size(self, bits, s):

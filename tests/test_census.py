@@ -318,8 +318,11 @@ def test_census_builds_the_product_tables_once_in_the_caller(monkeypatch, tmp_pa
     assert log.read_text().split() == [str(os.getpid())] * 2
 
 
-def test_jobs_capped_at_cpu_count(monkeypatch):
-    requested = []
+def _serial_pool(monkeypatch):
+    """Replace the fork pool by one that maps in this process; returns the
+    pool sizes requested and, for every ``map`` call, its items and the
+    children states of its results."""
+    requested, maps = [], []
 
     class SerialPool:
         def __init__(self, size):
@@ -331,14 +334,45 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap_unordered(self, fn, items, chunksize=1):
-            # results need not arrive in the order they were submitted
-            return reversed([fn(item) for item in items])
+        def map(self, fn, items):
+            items = list(items)
+            results = [fn(item) for item in items]
+            maps.append((items, [children for children, _, _ in results]))
+            return results
 
     class SerialContext:
         Pool = SerialPool
 
     monkeypatch.setattr("multiprocessing.get_context", lambda method: SerialContext)
+    return requested, maps
+
+
+def test_census_maps_each_level_in_at_most_jobs_slices(monkeypatch):
+    """With two jobs the census hands its pool one ``map`` per level of the
+    search, over at most two non-empty slices that make up the level: the
+    children of the slices of the level before, in order.  The root level,
+    the empty set alone, is one slice."""
+    _, maps = _serial_pool(monkeypatch)
+    monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
+    S = monoid("I", 3)
+    assert census_up_to_conjugacy(S, jobs=2) == census_up_to_conjugacy(S, jobs=1)
+    kernels = Backend(S.multiplication_table(), np.arange(len(S))[None])
+    assert len(maps) == 11 and len(maps[0][0]) == 1
+    states = level = census._root(len(S))
+    for slices, children in maps:
+        assert 1 <= len(slices) <= 2 and all(len(masks) for masks, _ in slices)
+        masks, lo = map(np.concatenate, zip(*slices))
+        assert np.array_equal(masks, states[0]) and np.array_equal(lo, states[1])
+        # the level of the search as one batch, in another order
+        assert sorted(unpack_masks(masks)) == sorted(unpack_masks(level[0]))
+        states = tuple(map(np.concatenate, zip(*children)))
+        whole = kernels.extend_window(*level)
+        level = whole["mask"], whole["e"] + 1
+    assert not len(states[0]) and not len(level[0])
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    requested, _ = _serial_pool(monkeypatch)
     # the CPUs this process may run on, not all of the host's
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)

@@ -166,9 +166,10 @@ def test_census_jobs_byte_identical_across_slices(tmp_path, capsys, monkeypatch)
     folds, levels = [], []
     min_image, spans = Backend.min_image, kernels._spans
 
-    def recorded(weights, row_bytes):
-        parts = spans(weights, row_bytes)
-        levels.append((int(weights.sum()), len(parts), kernels._CHUNK_BYTES // row_bytes))
+    def recorded(weights, step):
+        parts = spans(weights, step)
+        if sys._getframe(1).f_code.co_name == "extend_window":  # the search's candidates
+            levels.append((int(weights.sum()), len(parts), step))
         return parts
 
     monkeypatch.setattr(Backend, "min_image",
@@ -318,6 +319,14 @@ def test_fern_bad_dclass(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fern", "4", "9", "--out", tmp_path / "x.pgm")
     assert code == 2
     assert "no D-class" in err
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_fern_refuses_a_degree_below_one(tmp_path, capsys, n):
+    """A degree below 1 is refused as such, not as a missing D-class."""
+    code, out, err = run_cli(capsys, "fern", n, 0, "--out", tmp_path / "x.pgm")
+    assert (code, out, err) == (2, "", "error: degree must be >= 1\n")
+    assert not (tmp_path / "x.pgm").exists()
 
 
 def test_fern_degree_cap(tmp_path, capsys):

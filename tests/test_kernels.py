@@ -173,14 +173,14 @@ def test_kernels_on_widths_not_a_multiple_of_4(family, n):
 
 def _chunk_lengths(monkeypatch):
     """The lengths of the chunks the batched kernels work on, in order."""
-    lengths, chunks = [], kernels_module._chunks
+    lengths, spans = [], kernels_module._spans
 
-    def recorded(items, row_bytes):
-        for chunk in chunks(items, row_bytes):
-            lengths.append(len(chunk))
-            yield chunk
+    def recorded(weights, step):
+        parts = spans(weights, step)
+        lengths.extend(part.stop - part.start for part in parts)
+        return parts
 
-    monkeypatch.setattr(kernels_module, "_chunks", recorded)
+    monkeypatch.setattr(kernels_module, "_spans", recorded)
     return lengths
 
 
