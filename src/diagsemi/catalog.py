@@ -1,24 +1,27 @@
 """Standard generating sets for each diagram family and degree.
 
 The sets follow textbook presentations so that enumeration and census
-outputs are reproducible bit for bit:
+outputs are reproducible bit for bit.  They are data read by one builder:
 
-* S:  transposition (1 2) and the n-cycle (1 2 ... n).
-* T:  the S generators plus the rank-(n-1) idempotent merging 1 into 2.
-* I:  the S generators plus the partial identity undefined at 1.
-* PT: the I generators plus the merge idempotent.
-* TL: the hook diagrams e_1 .. e_{n-1}, in index order.
-* Br: the S generators (as diagrams) plus the hook e_1.
-* P:  the Br generators plus the split diagram cutting strand 1.
-* IS: the S generators (as diagrams) plus the elementary block
-      bijection joining strands 1 and 2.
-* B, PB: the full element set (supported for n <= 2 and n = 1).
+* ``_LETTERS``: S, T, I, PT, Br, P and IS are generated by the
+  transposition s = (1 2) and the n-cycle c = (1 2 ... n), as elements
+  of the family's type, then by the extra letters of the family's row,
+  each with its label and the least degree that has it.  T adds the
+  merge idempotent e [2,2,3,...]; I the partial identity t undefined at
+  1; PT both; Br the hook e1; P the join t {1,2,1',2'} and the split f
+  {1}/{1'}; IS the join and, from degree 3, the non-uniform block
+  bijection u {1,2,1'}/{3,2',3'}.
+* ``_FULL_SETS``: B and PB are generated by every element but the
+  identity, up to their largest supported degree (2 and 1).
+* TL: the hooks e_1 .. e_{n-1}, in index order.
 
-The identity is always adjoined when the monoid is enumerated, so Table
-counts that include it come out exactly.
+So a new generating set is one table row.  The identity is always
+adjoined when the monoid is enumerated, so Table counts that include it
+come out exactly.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import elements as el
 from .elements import Bipartition, MapElement, PBR, classify
@@ -103,88 +106,60 @@ def _skew_join(n):
     return Bipartition.from_blocks(n, blocks)
 
 
+def _merge(n):
+    """Image of the rank-(n-1) idempotent merging 1 into 2."""
+    return [1] + list(range(1, n))
+
+
+def _undefined_at_first(n):
+    """Image of the partial identity undefined at 1."""
+    return [None] + list(range(1, n))
+
+
+# The letters each family adds after s and c: (label, least degree, letter).
+# A letter maps n to an image for a map family and to the diagram otherwise.
+_LETTERS = {
+    "S": (),
+    "T": (("e", 2, _merge),),
+    "I": (("t", 1, _undefined_at_first),),
+    "PT": (("t", 1, _undefined_at_first), ("e", 2, _merge)),
+    "Br": (("e1", 2, partial(hook, i=0)),),
+    "P": (("t", 2, _join), ("f", 1, _split)),
+    "IS": (("t", 2, _join), ("u", 3, _skew_join)),
+}
+
+# Families generated by every element but the identity:
+# (largest degree, element iterator, label prefix, refusal past that degree).
+_FULL_SETS = {
+    "B": (2, el.all_relations, "r",
+          "binary relations are supported by full element set only (n <= 2)"),
+    "PB": (1, el.all_pbrs, "p",
+           "partitioned binary relations are supported by full element set "
+           "only (n = 1)"),
+}
+
+
 def standard_generators(family: str, n: int) -> GeneratorSet:
     if n < 1:
         raise UnsupportedFamilyDegree("degree must be >= 1")
-    gens, labels = [], []
-
-    if family == "S":
-        for lab, img in _perm_images(n):
-            gens.append(MapElement(n, "permutation", img))
-            labels.append(lab)
-    elif family == "T":
-        for lab, img in _perm_images(n):
-            gens.append(MapElement(n, "transformation", img))
-            labels.append(lab)
-        if n >= 2:
-            gens.append(MapElement(n, "transformation", [1] + list(range(1, n))))
-            labels.append("e")
-    elif family == "I":
-        for lab, img in _perm_images(n):
-            gens.append(MapElement(n, "partial_perm", img))
-            labels.append(lab)
-        gens.append(MapElement(n, "partial_perm", [None] + list(range(1, n))))
-        labels.append("t")
-    elif family == "PT":
-        for lab, img in _perm_images(n):
-            gens.append(MapElement(n, "partial", img))
-            labels.append(lab)
-        gens.append(MapElement(n, "partial", [None] + list(range(1, n))))
-        labels.append("t")
-        if n >= 2:
-            gens.append(MapElement(n, "partial", [1] + list(range(1, n))))
-            labels.append("e")
+    if family in _FULL_SETS:
+        top, every, prefix, refusal = _FULL_SETS[family]
+        if n > top:
+            raise UnsupportedFamilyDegree(refusal)
+        ident = family_identity(family, n)
+        gens = [x for x in every(n) if x != ident]
+        labels = [f"{prefix}{i}" for i in range(len(gens))]
     elif family == "TL":
-        for i in range(n - 1):
-            gens.append(hook(n, i))
-            labels.append(f"e{i + 1}")
-    elif family == "Br":
-        for lab, img in _perm_images(n):
-            gens.append(_perm_bipartition(n, img))
-            labels.append(lab)
-        if n >= 2:
-            gens.append(hook(n, 0))
-            labels.append("e1")
-    elif family == "P":
-        for lab, img in _perm_images(n):
-            gens.append(_perm_bipartition(n, img))
-            labels.append(lab)
-        if n >= 2:
-            gens.append(_join(n))
-            labels.append("t")
-        gens.append(_split(n))
-        labels.append("f")
-    elif family == "IS":
-        for lab, img in _perm_images(n):
-            gens.append(_perm_bipartition(n, img))
-            labels.append(lab)
-        if n >= 2:
-            gens.append(_join(n))
-            labels.append("t")
-        if n >= 3:
-            gens.append(_skew_join(n))
-            labels.append("u")
-    elif family == "B":
-        if n > 2:
-            raise UnsupportedFamilyDegree(
-                "binary relations are supported by full element set only (n <= 2)"
-            )
-        ident = family_identity("B", n)
-        for r in el.all_relations(n):
-            if r != ident:
-                gens.append(r)
-                labels.append(f"r{len(labels)}")
-    elif family == "PB":
-        if n > 1:
-            raise UnsupportedFamilyDegree(
-                "partitioned binary relations are supported by full element set "
-                "only (n = 1)"
-            )
-        ident = family_identity("PB", n)
-        for p in el.all_pbrs(n):
-            if p != ident:
-                gens.append(p)
-                labels.append(f"p{len(labels)}")
+        gens = [hook(n, i) for i in range(n - 1)]
+        labels = [f"e{i + 1}" for i in range(n - 1)]
+    elif family in _LETTERS:
+        kind = el.MAP_KIND.get(family)
+        from_image = partial(MapElement, n, kind) if kind else partial(_perm_bipartition, n)
+        letters = [(lab, from_image(img)) for lab, img in _perm_images(n)]
+        letters += [(lab, from_image(letter(n)) if kind else letter(n))
+                    for lab, least, letter in _LETTERS[family] if n >= least]
+        labels = [lab for lab, _ in letters]
+        gens = [g for _, g in letters]
     else:
         raise UnsupportedFamilyDegree(f"unknown family {family!r}")
 

@@ -507,14 +507,18 @@ class MapElement:
     def __eq__(self, other):
         if not isinstance(other, MapElement):
             return NotImplemented
-        return (
-            self.degree == other.degree
-            and (self.kind == "relation") == (other.kind == "relation")
-            and self.data == other.data
-        )
+        if self.kind != "relation" and other.kind != "relation":
+            return self.degree == other.degree and self.data == other.data
+        return self.degree == other.degree and self._as_rows() == other._as_rows()
 
     def __hash__(self):
-        return hash(("map", self.degree, self.kind == "relation", self.data))
+        data = self.data
+        if self.kind == "relation":
+            if any(r & (r - 1) for r in data):
+                return hash(("relation", self.degree, data))
+            # At most one edge per row: hash like the map with those edges.
+            data = tuple(r.bit_length() - 1 if r else None for r in data)
+        return hash(("map", self.degree, data))
 
     def __repr__(self):
         return f"MapElement({self.degree}, {self.kind!r}, {list(self.data)})"

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from diagsemi.catalog import (
@@ -70,3 +73,22 @@ def test_generator_set_json_roundtrip():
     for entry in doc["generators"]:
         g = element_from_json(entry["element"])
         assert element_to_json(g) == entry["element"]
+
+
+def test_every_generating_set_is_pinned():
+    """Every generator, its order and label, every identity and every
+    refusal message, for each family (and an unknown one) at n = 0..8.
+    The census masks and the pinned digests follow the generator order,
+    so none of this may move."""
+    rows = []
+    for family in FAMILY_CODES + ("X",):
+        for n in range(9):
+            try:
+                gs = standard_generators(family, n)
+            except UnsupportedFamilyDegree as exc:
+                rows.append([family, n, "unsupported", str(exc)])
+                continue
+            rows.append([family, n, gs.to_json(), element_to_json(gs.identity),
+                         list(gs.labels)])
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "14dc6c1726ff7089be83c1201d9ad94c0e6006ff7e0ad6d4ddfdea1dc24bc002"

@@ -15,6 +15,7 @@ from diagsemi.elements import (
     is_planar,
     rank,
 )
+from diagsemi.engine import enumerate_semigroup
 from diagsemi.formulas import catalan, double_factorial_odd
 
 from .oracles import all_brauer_diagrams, is_planar_pairwise, pbr_product_by_walks
@@ -192,6 +193,17 @@ def test_relation_vs_map_payloads_never_collide():
     swap_map = MapElement(2, "permutation", [1, 0])
     rel = MapElement(2, "relation", [1, 0])
     assert swap_map != rel
+
+
+def test_map_like_relation_equals_the_map_with_its_edges():
+    swap_rel = MapElement(2, "relation", [2, 1])
+    swap_map = MapElement(2, "permutation", [1, 0])
+    assert swap_rel == swap_map and hash(swap_rel) == hash(swap_map)
+    partial_rel = MapElement(3, "relation", [0, 1, 1])
+    partial_map = MapElement(3, "partial", [None, 0, 0])
+    assert partial_rel == partial_map and hash(partial_rel) == hash(partial_map)
+    assert MapElement(2, "relation", [3, 0]) != MapElement(2, "partial", [0, None])
+    assert len(enumerate_semigroup([swap_rel, swap_map])) == 2
 
 
 def test_conjugate_permutation_action():
