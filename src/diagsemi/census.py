@@ -19,15 +19,16 @@ point permutations fixing the element set) and keeps the minimal image,
 where masks compare as plain integers with element i at bit i; then the
 statistics of the level's representatives are counted.  The states of a
 level share nothing, so each level is cut into at most ``jobs`` slices
-of about equal weight, and one job, or each of ``jobs`` forked workers,
-folds, counts and extends one slice at a time.
+of about equal weight.  The calling process folds, counts and extends
+the first slice while ``jobs`` - 1 workers, forked once per census and
+each on its own pipe, take one of the others.
 """
 
 import json
 import multiprocessing
 import os
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import permutations, starmap
 
@@ -157,7 +158,7 @@ class CensusRecord:
 
 
 # (kernels, mask of the non-identity units) of the running census,
-# read by _census_level: a forked pool inherits it, so nothing is pickled
+# read by _census_level: forked workers inherit it, so nothing is pickled
 _AMBIENT = None
 
 
@@ -184,6 +185,64 @@ def _census_level(states):
     return (children["mask"], children["e"] + 1), fields, found
 
 
+def _serve(pipe):
+    """A worker's loop: the census of each slice it receives on ``pipe``,
+    or the exception that raised and its traceback, sent back until the
+    caller closes the pipe."""
+    while True:
+        try:
+            states = pipe.recv()
+        except EOFError:
+            return
+        try:
+            reply = None, _census_level(states)
+        except Exception as exc:  # raised again in the caller
+            import traceback  # here, not at the top: it adds 3 ms to every start
+            reply = exc, traceback.format_exc()
+        pipe.send(reply)
+
+
+def _gather(pipes, slices):
+    """The census of each slice, in order: the first in this process while
+    the workers on ``pipes`` take one of the others each."""
+    for pipe, states in zip(pipes, slices[1:]):
+        pipe.send(states)
+    results = [_census_level(slices[0])]
+    for pipe in pipes[:len(slices) - 1]:
+        try:
+            exc, value = pipe.recv()
+        except EOFError:
+            raise RuntimeError("a census worker died") from None
+        if exc is not None:
+            raise exc from RuntimeError(f"in a census worker:\n{value}")
+        results.append(value)
+    return results
+
+
+@contextmanager
+def _workers(count):
+    """A function from the slices of a level to their census, run by this
+    process and ``count`` forked workers.  The workers fork on entry, so
+    they inherit ``_AMBIENT``, and are stopped and joined on exit, on
+    success or failure alike."""
+    fork = multiprocessing.get_context("fork")
+    pipes, procs = [], []
+    try:
+        for _ in range(count):
+            ours, theirs = fork.Pipe()
+            pipes.append(ours)
+            procs.append(fork.Process(target=_serve, args=(theirs,), daemon=True))
+            procs[-1].start()
+            theirs.close()  # the worker's end: its exit is then EOF on ours
+        yield lambda slices: _gather(pipes, slices)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for proc in procs:
+            proc.terminate()  # a worker still busy with a slice of a failed level
+            proc.join()
+
+
 def census_up_to_conjugacy(S, G=None, jobs=1):
     """One record per conjugacy class of subsemigroups, ordered by
     representative mask; returns (records, raw_total)."""
@@ -196,7 +255,7 @@ def census_up_to_conjugacy(S, G=None, jobs=1):
     try:
         jobs = min(jobs, _usable_cpus())
         records, found = [], Counter()
-        with multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        with _workers(jobs - 1) as census_slices:
             # each level is the children of the slices of the one before, cut into
             # at most ``jobs`` slices of about equal weight (N - lo bounds a state's
             # candidates)
@@ -206,7 +265,7 @@ def census_up_to_conjugacy(S, G=None, jobs=1):
                 level, weights = [], len(S) - lo
                 slices = [(masks[s], lo[s]) for s in _spans(weights, -(-weights.sum() // jobs))]
                 del masks, lo, weights  # from here on the slices alone hold the level
-                for kids, part, counts in (pool.map if pool else map)(_census_level, slices):
+                for kids, part, counts in census_slices(slices):
                     level.append(kids)
                     records += starmap(CensusRecord, part)
                     found.update(counts)  # Counter.update adds where dict.update overwrites
@@ -283,9 +342,16 @@ def write_joint_csv(path, joint, metric, config=""):
             fh.write(f"{size},{value},{count}\n")
 
 
+# ``json.dumps(r.to_json())`` of a record, plus its newline, in one format
+_JSONL_RECORD = ('{{"representative_mask_hex": "{:#x}", "orbit_size": {}, "size": {}, '
+                 '"d_classes": {}, "idempotents": {}, "has_nontrivial_perm": {}}}\n')
+_JSON_BOOL = ("false", "true")
+
+
 def write_records_jsonl(path, records, config=None):
     with open(path, "w") as fh:
         if config is not None:
             fh.write(json.dumps({"config": config}) + "\n")
-        for r in records:
-            fh.write(json.dumps(r.to_json()) + "\n")
+        fh.writelines(_JSONL_RECORD.format(r.mask, r.orbit_size, r.size, r.d_classes,
+                                           r.idempotents, _JSON_BOOL[r.has_nontrivial_perm])
+                      for r in records)

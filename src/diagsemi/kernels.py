@@ -43,7 +43,7 @@ as the census cuts each level of its search into its job slices.
 A ``Backend`` holds the tables of one ambient (the lookup table, the
 multiplication table and the element-index permutations of its symmetry
 group), all built once by its constructor.  ``census`` builds one per
-call, before any fork, so the pool's workers inherit them.
+call, before any fork, so the ``--jobs`` workers inherit them.
 """
 
 import numpy as np
@@ -228,16 +228,17 @@ class Backend:
         local = np.cumsum(bits, axis=1, dtype=np.int32).ravel() - 1
         products = self._table[members[:, :, None], members[:, None, :]]
         ab = local[products + (n * np.arange(r, dtype=np.int32))[:, None, None]]
-        # succ[t, a, b]: member b is in {a} ∪ aT ∪ Ta
+        # succ[t, a, b]: member b is in {a} ∪ aT ∪ Ta, set at flat index
+        # t·s² + a·s + b; a block's diagonal is every (s+1)th of its s² entries
         succ = np.zeros((r, s, s), np.float32)
-        t, a = np.arange(r)[:, None, None], np.arange(s)[:, None]
-        succ[t, a, ab] = 1
-        succ[t, a, ab.transpose(0, 2, 1)] = 1
-        succ[:, a[:, 0], a[:, 0]] = 1
+        flat, rows = succ.reshape(-1), s * np.arange(r * s).reshape(r, s, 1)
+        flat[rows + ab] = 1
+        flat[rows + ab.transpose(0, 2, 1)] = 1
+        succ.reshape(r, s * s)[:, ::s + 1] = 1
         # the ideal of a is {a} | aT | Ta | TaT, and TaT = T(aT) lies in
         # the successors of aT, so two steps from a reach all of it
         ideal = np.matmul(succ, succ) > 0
         # a and b are J-related when each lies in the ideal of the other;
         # a starts a new class when the first member J-related to it is a
         j = ideal & ideal.transpose(0, 2, 1)
-        return (j.argmax(axis=2) == a[:, 0]).sum(axis=1)
+        return (j.argmax(axis=2) == np.arange(s)).sum(axis=1)

@@ -1,6 +1,8 @@
+import multiprocessing
 import os
 import random
 import time
+from contextlib import contextmanager
 from itertools import permutations
 
 import numpy as np
@@ -297,6 +299,54 @@ def test_a_failed_census_keeps_no_tables(monkeypatch):
     assert census._AMBIENT is None
 
 
+def _failing_min_image(monkeypatch, where, fail):
+    """Make ``Backend.min_image`` call ``fail`` in the calling process
+    (``where`` "caller") or in the workers only ("worker"), with two
+    usable CPUs, so that ``jobs=2`` forks one worker."""
+    caller, min_image = os.getpid(), Backend.min_image
+
+    def patched(self, masks):
+        if (os.getpid() == caller) == (where == "caller"):
+            fail()
+        return min_image(self, masks)
+
+    monkeypatch.setattr(Backend, "min_image", patched)
+    monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
+
+
+def _no_workers_left():
+    return not multiprocessing.active_children() and census._AMBIENT is None
+
+
+def test_two_jobs_leave_no_worker_running(monkeypatch):
+    monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
+    S = monoid("T", 3)
+    assert census_up_to_conjugacy(S, jobs=2) == census_up_to_conjugacy(S, jobs=1)
+    assert _no_workers_left()
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_a_kernel_failure_surfaces_in_the_caller(monkeypatch, where):
+    """An exception in the caller's slice or in a worker's reaches the
+    caller with its message, and every worker is stopped and joined."""
+    def fail():
+        raise ValueError(f"kernel failure in the {where}")
+
+    _failing_min_image(monkeypatch, where, fail)
+    with pytest.raises(ValueError, match=f"kernel failure in the {where}"):
+        census_up_to_conjugacy(monoid("T", 3), jobs=2)
+    assert _no_workers_left()
+
+
+def test_a_dead_worker_raises_in_the_caller(monkeypatch):
+    """A worker that exits mid-slice is EOF on its pipe: the census raises
+    rather than waits, and leaves no worker behind."""
+    _failing_min_image(monkeypatch, "worker", lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="census worker died"):
+        census_up_to_conjugacy(monoid("T", 3), jobs=2)
+    assert _no_workers_left()
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_census_builds_the_product_tables_once_in_the_caller(monkeypatch, tmp_path, jobs):
     """Each census call builds the product lookup table of its search once,
@@ -318,44 +368,39 @@ def test_census_builds_the_product_tables_once_in_the_caller(monkeypatch, tmp_pa
     assert log.read_text().split() == [str(os.getpid())] * 2
 
 
-def _serial_pool(monkeypatch):
-    """Replace the fork pool by one that maps in this process; returns the
-    pool sizes requested and, for every ``map`` call, its items and the
-    children states of its results."""
+def _serial_workers(monkeypatch):
+    """Replace the forked workers by a census of every slice in this
+    process; returns the worker counts requested and, for every level,
+    its slices and the children states of their results."""
     requested, maps = [], []
 
-    class SerialPool:
-        def __init__(self, size):
-            requested.append(size)
+    @contextmanager
+    def serial(count):
+        requested.append(count)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            items = list(items)
-            results = [fn(item) for item in items]
-            maps.append((items, [children for children, _, _ in results]))
+        def census_slices(slices):
+            results = [census._census_level(states) for states in slices]
+            maps.append((slices, [children for children, _, _ in results]))
             return results
 
-    class SerialContext:
-        Pool = SerialPool
+        yield census_slices
 
-    monkeypatch.setattr("multiprocessing.get_context", lambda method: SerialContext)
+    monkeypatch.setattr(census, "_workers", serial)
     return requested, maps
 
 
 def test_census_maps_each_level_in_at_most_jobs_slices(monkeypatch):
-    """With two jobs the census hands its pool one ``map`` per level of the
+    """With two jobs the census hands its workers one call per level of the
     search, over at most two non-empty slices that make up the level: the
     children of the slices of the level before, in order.  The root level,
     the empty set alone, is one slice."""
-    _, maps = _serial_pool(monkeypatch)
+    _, maps = _serial_workers(monkeypatch)
     monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
     S = monoid("I", 3)
-    assert census_up_to_conjugacy(S, jobs=2) == census_up_to_conjugacy(S, jobs=1)
+    expected = census_up_to_conjugacy(S, jobs=1)
+    assert len(maps) == 11 and all(len(slices) == 1 for slices, _ in maps)
+    maps.clear()
+    assert census_up_to_conjugacy(S, jobs=2) == expected
     kernels = Backend(S.multiplication_table(), np.arange(len(S))[None])
     assert len(maps) == 11 and len(maps[0][0]) == 1
     states = level = census._root(len(S))
@@ -372,20 +417,23 @@ def test_census_maps_each_level_in_at_most_jobs_slices(monkeypatch):
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch):
-    requested, _ = _serial_pool(monkeypatch)
+    """``jobs`` counts the calling process, so a census forks ``jobs`` - 1
+    workers, and no more than the usable CPUs less one."""
+    requested, _ = _serial_workers(monkeypatch)
     # the CPUs this process may run on, not all of the host's
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     S = monoid("T", 3)
     records, raw = census_up_to_conjugacy(S, jobs=5000)
-    assert requested == [3]
+    assert requested == [2]
     assert len(records) == 283
     assert (records, raw) == census_up_to_conjugacy(S, jobs=1)
     # where there is no affinity mask, the CPU count
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert requested == [2, 0]
     assert census_up_to_conjugacy(S, jobs=5000) == (records, raw)
-    assert requested == [3, 2]
+    assert requested == [2, 0, 1]
 
 
 def test_census_stats_match_brute_force_on_subsemigroups():

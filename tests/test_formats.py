@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from diagsemi.census import (
+    CensusRecord,
     census_up_to_conjugacy,
     joint_histogram,
     size_histogram,
@@ -118,3 +119,19 @@ def test_census_csv_and_jsonl(tmp_path):
         assert set(row) == {"representative_mask_hex", "orbit_size", "size",
                             "d_classes", "idempotents", "has_nontrivial_perm"}
         assert int(row["representative_mask_hex"], 16).bit_count() == row["size"]
+
+
+def test_jsonl_record_lines_match_json_dumps(tmp_path):
+    """Each record line is ``json.dumps`` of its ``to_json``, byte for
+    byte: the empty set's mask 0, masks wider than 64 bits, and both
+    values of ``has_nontrivial_perm``."""
+    records, _ = census_up_to_conjugacy(monoid("I", 2))
+    records += [CensusRecord(1 << 104 | 1, 24, 2, 2, 1, False),
+                CensusRecord((1 << 105) - 1, 1, 105, 17, 40, True)]
+    assert records[0].mask == 0
+    assert {r.has_nontrivial_perm for r in records} == {False, True}
+    path = tmp_path / "records.jsonl"
+    config = {"family": "I", "n": 2}
+    write_records_jsonl(path, records, config)
+    expected = [json.dumps({"config": config})] + [json.dumps(r.to_json()) for r in records]
+    assert path.read_text() == "".join(line + "\n" for line in expected)
