@@ -22,12 +22,21 @@ level share nothing, so each level is cut into at most ``jobs`` slices
 of about equal weight.  The calling process folds, counts and extends
 the first slice while ``jobs`` - 1 workers, forked once per census and
 each on its own pipe, take one of the others.
+
+A slice returns arrays, never an object per set: one structured row per
+class it finds (the packed mask and the statistics) and its distinct
+minimal images, as keys that compare as the masks do, with how many of
+its sets have each.  The caller concatenates them, checks every orbit
+against the sets found with one ``np.unique``, and sorts the classes by
+their keys, which is mask order.  ``CensusClasses`` holds the result;
+the histograms are ``np.unique`` counts of its columns, and the JSONL
+writer, like iteration over ``CensusRecord``s, builds Python values a
+chunk of rows at a time.
 """
 
 import json
 import multiprocessing
 import os
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import permutations, starmap
@@ -137,7 +146,7 @@ def all_subsemigroup_masks(S):
     return sorted(found)
 
 
-@dataclass(frozen=True, slots=True)  # no __dict__: a census holds one record a class
+@dataclass(frozen=True, slots=True)
 class CensusRecord:
     mask: int  # representative: minimal image over the symmetry group
     orbit_size: int
@@ -157,32 +166,83 @@ class CensusRecord:
         }
 
 
-# (kernels, mask of the non-identity units) of the running census,
-# read by _census_level: forked workers inherit it, so nothing is pickled
+_STAT_FIELDS = CensusRecord.__slots__[1:]
+# rows turned into Python values at a time: bounds the objects alive at once
+_CHUNK_ROWS = 1 << 14
+
+
+def class_dtype(n, group_order):
+    """The row of one class of a census over ``n`` elements and a symmetry
+    group of ``group_order``: the packed mask of its representative, then
+    the fields of its ``CensusRecord``, each as narrow as its bound."""
+    count = np.min_scalar_type(n)  # a size, D-class or idempotent count is at most n
+    return np.dtype([("mask", np.uint8, ((n + 7) // 8,)),
+                     ("orbit_size", np.min_scalar_type(group_order)),
+                     ("size", count), ("d_classes", count), ("idempotents", count),
+                     ("has_nontrivial_perm", bool)])
+
+
+def _keys(masks):
+    """A key of each packed mask row that compares as the mask does as an
+    integer: the mask itself as a uint64 while it fits one, which sorts
+    several times faster, and else its big-endian byte string."""
+    rows, nb = masks.shape
+    if nb > 8:
+        return np.ascontiguousarray(masks[:, ::-1]).view(f"S{nb}").ravel()
+    words = np.zeros((rows, 8), np.uint8)
+    words[:, :nb] = masks
+    return words.view("<u8").ravel()
+
+
+class CensusClasses:
+    """The classes of a census in mask order: ``rows``, one row of
+    ``class_dtype`` a class.  Iteration builds its ``CensusRecord``s."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        return starmap(CensusRecord, _python_rows(self.rows))
+
+    def __eq__(self, other):
+        return (isinstance(other, CensusClasses) and self.rows.dtype == other.rows.dtype
+                and self.rows.tobytes() == other.rows.tobytes())
+
+
+def _python_rows(rows):
+    """The fields of each of ``rows`` as Python values, the mask an int."""
+    for part in _spans(len(rows), _CHUNK_ROWS):
+        chunk = rows[part]
+        yield from zip(unpack_masks(chunk["mask"]), *(chunk[f].tolist() for f in _STAT_FIELDS))
+
+
+# (kernels, packed mask of the non-identity units, class_dtype) of the
+# running census, read by _census_level: forked workers inherit it, so
+# nothing is pickled
 _AMBIENT = None
 
 
 def _census_level(states):
     """The census of one slice ``states`` (masks, lo) of a level of the
-    search: the states of its children, the fields of the records of its
-    sets that are their own minimal image, and how many of its sets each
-    minimal image has."""
-    kernels, perm_bits = _AMBIENT
+    search: the states of its children, the rows of the classes of its
+    sets that are their own minimal image, and its distinct minimal images
+    (``_keys``) with how many of its sets have each."""
+    kernels, perm_row, dtype = _AMBIENT
     masks, lo = states
     reps, orbits = kernels.min_image(masks)
     own = (masks == reps).all(axis=1)
-    # one void value a row: np.unique sorts these far faster than rows by axis=0
-    nb = reps.shape[1]
-    images, counts = np.unique(reps.view(f"V{nb}").ravel(), return_counts=True)
     own_masks = masks[own]
-    # a tuple of fields a record, which a worker pickles far faster than records
-    fields = [(m, orbit, m.bit_count(), d, e, bool(m & perm_bits))
-               for m, orbit, d, e in zip(unpack_masks(own_masks), orbits[own].tolist(),
-                                         kernels.count_dclasses(own_masks),
-                                         kernels.count_idempotents(own_masks))]
+    classes = np.empty(len(own_masks), dtype)
+    classes["mask"], classes["orbit_size"] = own_masks, orbits[own]
+    classes["size"] = kernels._bits(own_masks).sum(axis=1)
+    classes["d_classes"] = kernels.count_dclasses(own_masks)
+    classes["idempotents"] = kernels.count_idempotents(own_masks)
+    classes["has_nontrivial_perm"] = (own_masks & perm_row).any(axis=1)
     children = kernels.extend_window(masks, lo)
-    found = dict(zip(unpack_masks(images.view(np.uint8).reshape(-1, nb)), counts.tolist()))
-    return (children["mask"], children["e"] + 1), fields, found
+    return (children["mask"], children["e"] + 1), classes, np.unique(_keys(reps), return_counts=True)
 
 
 def _serve(pipe):
@@ -205,6 +265,8 @@ def _serve(pipe):
 def _gather(pipes, slices):
     """The census of each slice, in order: the first in this process while
     the workers on ``pipes`` take one of the others each."""
+    if len(slices) > len(pipes) + 1:
+        raise ValueError(f"{len(slices)} slices for {len(pipes) + 1} processes")
     for pipe, states in zip(pipes, slices[1:]):
         pipe.send(states)
     results = [_census_level(slices[0])]
@@ -243,44 +305,63 @@ def _workers(count):
             proc.join()
 
 
+def _check_jobs(jobs):
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
 def census_up_to_conjugacy(S, G=None, jobs=1):
-    """One record per conjugacy class of subsemigroups, ordered by
-    representative mask; returns (records, raw_total)."""
+    """The conjugacy classes of subsemigroups of S and the number of
+    subsemigroups: returns (``CensusClasses``, raw_total)."""
     global _AMBIENT
+    _check_jobs(jobs)
     check_census_bound(len(S))
     if G is None:
         G = symmetry_group(S)
-    table = S.multiplication_table()
-    _AMBIENT = Backend(table, G.index_perms), sum(1 << int(i) for i in _units(table)[1:])
+    n, table = len(S), S.multiplication_table()
+    perm_bits = np.zeros(n, bool)
+    perm_bits[_units(table)[1:]] = True
+    _AMBIENT = (Backend(table, G.index_perms), np.packbits(perm_bits, bitorder="little"),
+                class_dtype(n, len(G)))
     try:
         jobs = min(jobs, _usable_cpus())
-        records, found = [], Counter()
+        classes, images, counts = [], [], []
         with _workers(jobs - 1) as census_slices:
             # each level is the children of the slices of the one before, cut into
             # at most ``jobs`` slices of about equal weight (N - lo bounds a state's
             # candidates)
-            level = [_root(len(S))]
+            level = [_root(n)]
             while sum(len(masks) for masks, _ in level):
                 masks, lo = map(np.concatenate, zip(*level))
-                level, weights = [], len(S) - lo
+                level, weights = [], n - lo
                 slices = [(masks[s], lo[s]) for s in _spans(weights, -(-weights.sum() // jobs))]
                 del masks, lo, weights  # from here on the slices alone hold the level
-                for kids, part, counts in census_slices(slices):
+                for kids, part, (part_images, part_counts) in census_slices(slices):
                     level.append(kids)
-                    records += starmap(CensusRecord, part)
-                    found.update(counts)  # Counter.update adds where dict.update overwrites
-                del slices, kids, part, counts  # free the level before the next is built
+                    classes.append(part)
+                    images.append(part_images)
+                    counts.append(part_counts)
+                # free the level before the next is built
+                del slices, kids, part, part_images, part_counts
     finally:
         _AMBIENT = None  # the tables are not kept past the call, nor past a failure
-    records.sort(key=lambda r: r.mask)
+    classes = np.concatenate(classes)
+    keys = _keys(classes["mask"])
+    order = np.argsort(keys)
+    classes, keys = classes[order], keys[order]
 
-    raw_total = sum(found.values())
-    for r in records:
-        if found.pop(r.mask) != r.orbit_size:
-            raise AssertionError(f"orbit of {r.mask:#x} does not hold {r.orbit_size} sets")
-    if found:
-        raise AssertionError(f"{len(found)} minimal images were found without their set")
-    return records, raw_total
+    # the sets of each distinct minimal image, over every slice; a class's
+    # own set is one of them, so each key is among the images
+    images, where = np.unique(np.concatenate(images), return_inverse=True)
+    counts = np.concatenate(counts)
+    held = np.bincount(where, counts, len(images))
+    short = np.flatnonzero(held[np.searchsorted(images, keys)] != classes["orbit_size"])
+    if len(short):
+        r = next(iter(CensusClasses(classes[short[:1]])))
+        raise AssertionError(f"orbit of {r.mask:#x} does not hold {r.orbit_size} sets")
+    if len(images) > len(keys):
+        raise AssertionError(f"{len(images) - len(keys)} minimal images were found without their set")
+    return CensusClasses(classes), int(counts.sum())
 
 
 def subgroup_census(S, G=None, jobs=1):
@@ -289,14 +370,14 @@ def subgroup_census(S, G=None, jobs=1):
     Every nonempty closed subset of a finite group is a subgroup, so
     this is the subsemigroup census with the empty set dropped (the one
     row of the published table that excludes it)."""
+    _check_jobs(jobs)
     check_census_bound(len(S))
     if len(_units(S.multiplication_table())) != len(S):
         raise ValueError("ambient is not a group")
-    records, _ = census_up_to_conjugacy(S, G=G, jobs=jobs)
-    nonempty = [r for r in records if r.size > 0]
-    for r in nonempty:
-        if not r.mask & 1:
-            raise AssertionError("subgroup without the ambient identity")
+    classes, _ = census_up_to_conjugacy(S, G=G, jobs=jobs)
+    nonempty = classes.rows[classes.rows["size"] > 0]
+    if not (nonempty["mask"][:, 0] & 1).all():
+        raise AssertionError("subgroup without the ambient identity")
     return len(nonempty)
 
 
@@ -304,24 +385,23 @@ def subgroup_census(S, G=None, jobs=1):
 # statistics and file formats
 
 
-def size_histogram(records, only_nontrivial_perm=False):
-    out = {}
-    for r in records:
-        if only_nontrivial_perm and not r.has_nontrivial_perm:
-            continue
-        out[r.size] = out.get(r.size, 0) + 1
-    return dict(sorted(out.items()))
+def size_histogram(classes, only_nontrivial_perm=False):
+    rows = classes.rows
+    if only_nontrivial_perm:
+        rows = rows[rows["has_nontrivial_perm"]]
+    sizes, counts = np.unique(rows["size"], return_counts=True)
+    return dict(zip(sizes.tolist(), counts.tolist()))
 
 
-def joint_histogram(records, metric):
+def joint_histogram(classes, metric):
     key = {"d-classes": "d_classes", "idempotents": "idempotents"}.get(metric)
     if key is None:
         raise ValueError(f"unknown metric {metric!r}")
-    out = {}
-    for r in records:
-        k = (r.size, getattr(r, key))
-        out[k] = out.get(k, 0) + 1
-    return dict(sorted(out.items()))
+    values = classes.rows[key]
+    base = int(values.max(initial=0)) + 1  # size·base + value orders as (size, value)
+    pairs, counts = np.unique(classes.rows["size"].astype(np.int64) * base + values,
+                              return_counts=True)
+    return {divmod(pair, base): count for pair, count in zip(pairs.tolist(), counts.tolist())}
 
 
 def write_histogram_csv(path, hist, config=""):
@@ -342,16 +422,16 @@ def write_joint_csv(path, joint, metric, config=""):
             fh.write(f"{size},{value},{count}\n")
 
 
-# ``json.dumps(r.to_json())`` of a record, plus its newline, in one format
-_JSONL_RECORD = ('{{"representative_mask_hex": "{:#x}", "orbit_size": {}, "size": {}, '
-                 '"d_classes": {}, "idempotents": {}, "has_nontrivial_perm": {}}}\n')
+# ``json.dumps(r.to_json())`` of a record, plus its newline, in one
+# %-format, which formats these ints about twice as fast as str.format
+_JSONL_RECORD = ('{"representative_mask_hex": "%#x", "orbit_size": %d, "size": %d, '
+                 '"d_classes": %d, "idempotents": %d, "has_nontrivial_perm": %s}\n')
 _JSON_BOOL = ("false", "true")
 
 
-def write_records_jsonl(path, records, config=None):
+def write_records_jsonl(path, classes, config=None):
     with open(path, "w") as fh:
         if config is not None:
             fh.write(json.dumps({"config": config}) + "\n")
-        fh.writelines(_JSONL_RECORD.format(r.mask, r.orbit_size, r.size, r.d_classes,
-                                           r.idempotents, _JSON_BOOL[r.has_nontrivial_perm])
-                      for r in records)
+        fh.writelines(_JSONL_RECORD % (mask, orbit, size, d, e, _JSON_BOOL[perm])
+                      for mask, orbit, size, d, e, perm in _python_rows(classes.rows))

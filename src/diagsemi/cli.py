@@ -123,24 +123,24 @@ def cmd_census(args):
         print(f"subsemigroups of {args.family}_{args.n}: {total}")
         return 0
 
-    records, raw_total = census_mod.census_up_to_conjugacy(S, jobs=args.jobs)
-    print(f"subsemigroups of {args.family}_{args.n} up to conjugacy: {len(records)}")
+    classes, raw_total = census_mod.census_up_to_conjugacy(S, jobs=args.jobs)
+    print(f"subsemigroups of {args.family}_{args.n} up to conjugacy: {len(classes)}")
     print(f"raw subsemigroups: {raw_total}")
     if args.stats:
         out = Path(args.out or ".")
         out.mkdir(parents=True, exist_ok=True)
         stem = f"census_{args.family}{args.n}"
-        census_mod.write_records_jsonl(out / f"{stem}.jsonl", records, config)
+        census_mod.write_records_jsonl(out / f"{stem}.jsonl", classes, config)
         census_mod.write_histogram_csv(
-            out / f"{stem}_sizes.csv", census_mod.size_histogram(records), config)
+            out / f"{stem}_sizes.csv", census_mod.size_histogram(classes), config)
         census_mod.write_histogram_csv(
             out / f"{stem}_sizes_nontrivial_perm.csv",
-            census_mod.size_histogram(records, only_nontrivial_perm=True), config)
+            census_mod.size_histogram(classes, only_nontrivial_perm=True), config)
         for metric in ("d-classes", "idempotents"):
             name = metric.replace("-", "")
             census_mod.write_joint_csv(
                 out / f"{stem}_size_vs_{name}.csv",
-                census_mod.joint_histogram(records, metric), metric, config)
+                census_mod.joint_histogram(classes, metric), metric, config)
         print(f"stats written to {out}/{stem}_*.csv and {stem}.jsonl")
     return 0
 

@@ -3,8 +3,9 @@
 Subsets of an enumerated semigroup of N elements are packed mask rows:
 uint8 arrays of shape (R, ⌈N/8⌉), one row per subset, with element i at
 bit i & 7 of byte i >> 3.  The ambient multiplication is an int32 N x N
-table.  Python ints are built only at the census's boundary, for its
-records and its counts of minimal images (``unpack_masks``).
+table.  The census builds no Python int per set or per class from what
+the kernels return; only its JSONL writer and its records do
+(``unpack_masks``).
 
 ``extend_window`` runs one level of the Close-by-One search of
 ``census`` for a whole batch of states (M, lo) at once.  Its candidates
@@ -99,7 +100,11 @@ def _spans(weights, step):
     ``step`` each (one item at least), where a number ``weights`` is that
     many items of weight one; none for no items."""
     step = max(1, step)
-    ends = np.arange(1, weights + 1) if np.isscalar(weights) else np.cumsum(weights)
+    scalar = np.isscalar(weights)
+    count = weights if scalar else len(weights)
+    if count and (weights if scalar else weights.sum()) <= step:
+        return [slice(0, count)]  # one slice, without the cuts
+    ends = np.arange(1, weights + 1) if scalar else np.cumsum(weights)
     cuts = np.searchsorted(ends, np.arange(step, ends[-1] if len(ends) else 0, step),
                            side="right")
     bounds = sorted({0, len(ends), *cuts.tolist()})

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import random
 import time
+import tracemalloc
 from contextlib import contextmanager
 from itertools import permutations
 
@@ -434,6 +435,47 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
     assert requested == [2, 0]
     assert census_up_to_conjugacy(S, jobs=5000) == (records, raw)
     assert requested == [2, 0, 1]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_are_refused_before_any_work(monkeypatch, jobs):
+    """``jobs`` < 1 is a ValueError before the symmetry group or the units
+    are computed, from the census and from the subgroup census alike."""
+    for name in ("symmetry_group", "_units", "_workers"):
+        monkeypatch.setattr(census, name, lambda *_, name=name: pytest.fail(f"{name} ran"))
+    message = f"^jobs must be at least 1, got {jobs}$"
+    with pytest.raises(ValueError, match=message):
+        census_up_to_conjugacy(monoid("T", 2), jobs=jobs)
+    with pytest.raises(ValueError, match=message):
+        subgroup_census(monoid("S", 2), jobs=jobs)
+
+
+def test_gather_refuses_more_slices_than_processes(monkeypatch):
+    """Slices past one for this process and one for each worker would be
+    dropped, so ``_gather`` refuses them before it runs any slice."""
+    monkeypatch.setattr(census, "_census_level", lambda states: pytest.fail("ran a slice"))
+    with pytest.raises(ValueError, match="^2 slices for 1 processes$"):
+        census._gather([], [census._root(4)] * 2)
+
+
+def test_a_class_costs_ten_bytes_in_the_census_result():
+    """The classes of a census are rows of one array: on I_3 a row is the
+    5 bytes of a 34-bit mask and one byte for each of the five other
+    fields, and the result holds little more (about 122 bytes a class
+    while the census held a record object a class)."""
+    S = monoid("I", 3)
+    G = symmetry_group(S)
+    census_up_to_conjugacy(S, G=G)  # the one-time costs of a first call
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        classes, raw = census_up_to_conjugacy(S, G=G)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (len(classes), raw) == (2963, 16143)
+    assert classes.rows.itemsize == 10
+    assert held <= 16 * len(classes)
 
 
 def test_census_stats_match_brute_force_on_subsemigroups():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from diagsemi.census import (
+    CensusClasses,
     CensusRecord,
+    class_dtype,
     census_up_to_conjugacy,
     joint_histogram,
     size_histogram,
@@ -19,6 +21,7 @@ from diagsemi.elements import (
     element_to_json,
 )
 from diagsemi.engine import green_structure, write_green_json, write_pgm
+from diagsemi.kernels import pack_masks
 
 from .conftest import monoid
 from .samplers import random_element
@@ -122,16 +125,22 @@ def test_census_csv_and_jsonl(tmp_path):
 
 
 def test_jsonl_record_lines_match_json_dumps(tmp_path):
-    """Each record line is ``json.dumps`` of its ``to_json``, byte for
-    byte: the empty set's mask 0, masks wider than 64 bits, and both
-    values of ``has_nontrivial_perm``."""
-    records, _ = census_up_to_conjugacy(monoid("I", 2))
-    records += [CensusRecord(1 << 104 | 1, 24, 2, 2, 1, False),
-                CensusRecord((1 << 105) - 1, 1, 105, 17, 40, True)]
+    """Each class line is ``json.dumps`` of its record's ``to_json``, byte
+    for byte: the empty set's mask 0, masks wider than 64 bits, and both
+    values of ``has_nontrivial_perm``.  Iteration gives the records back."""
+    classes, _ = census_up_to_conjugacy(monoid("I", 2))
+    records = list(classes) + [CensusRecord(1 << 104 | 1, 24, 2, 2, 1, False),
+                               CensusRecord((1 << 105) - 1, 1, 105, 17, 40, True)]
     assert records[0].mask == 0
     assert {r.has_nontrivial_perm for r in records} == {False, True}
+    rows = np.empty(len(records), class_dtype(105, 24))
+    rows["mask"] = pack_masks([r.mask for r in records], 105)
+    for field in ("orbit_size", "size", "d_classes", "idempotents", "has_nontrivial_perm"):
+        rows[field] = [getattr(r, field) for r in records]
+    wide = CensusClasses(rows)
+    assert list(wide) == records
     path = tmp_path / "records.jsonl"
     config = {"family": "I", "n": 2}
-    write_records_jsonl(path, records, config)
+    write_records_jsonl(path, wide, config)
     expected = [json.dumps({"config": config})] + [json.dumps(r.to_json()) for r in records]
     assert path.read_text() == "".join(line + "\n" for line in expected)
