@@ -35,7 +35,6 @@ from array import array
 import numpy as np
 
 from . import kernels
-from .catalog import hook
 from .elements import identity_like
 from .formulas import ballot
 
@@ -440,35 +439,28 @@ def _first_seen(ids):
     return list(order)
 
 
-def _least_halves(gens, identity, r, wanted):
-    """The ``wanted`` halves of rank r, as two (wanted, n) arrays ordered
-    by the shortlex-least generator word whose upper half each one is,
-    and by the least word whose lower half it is.  These are the orders
-    of the first members of the R- and of the L-classes in Froidure-Pin
-    order.
+def _least_halves(hooks, n, r, wanted):
+    """The ``wanted`` halves of rank r of degree n, as two (wanted, n)
+    arrays ordered by the shortlex-least word over ``hooks`` whose upper
+    half each one is, and by the least word whose lower half it is.  The
+    letters are hook indices, i for e_{i+1}, in letter order: with
+    range(n - 1), the catalog's order, these are the orders of the first
+    members of the R- and of the L-classes in Froidure-Pin order.
 
-    Every generator must be a hook e_i of TL_n, in any order: ``tl_fern``
-    passes the catalog's hooks, and any other letter raises ValueError,
-    even one that is its own mirror image.  A hook is its own mirror
-    image (upper and lower rows swapped), and mirroring reverses
-    products, so the lower half of x*g is the upper half of g*x', x' the
-    mirror of x, and the lower halves have the orbit and the action of
-    the upper ones.
+    A hook is its own mirror image (upper and lower rows swapped), and
+    mirroring reverses products, so the lower half of x*e_i is the upper
+    half of e_i*x', x' the mirror of x, and the lower halves have the
+    orbit and the action of the upper ones.
 
-    The orbit of the identity's upper half under g*x is searched breadth
-    first: level L holds the halves of rank >= r whose shortest word has
-    length L.  The least word of such a half is g.w' (upper) or w'.g
-    (lower), w' the least word of a half of level L - 1: a shorter word
-    for the half of w' would give a shorter one for the half itself.  So
-    rows rank a level by letter and then the rank of w', columns by the
-    rank of w' and then letter.  Every hook acts on every half of a
-    level at once, on the halves themselves."""
-    n = identity.degree
-    hooks = {hook(n, i): i for i in range(n - 1)}
-    for g in gens:
-        if g not in hooks:
-            raise ValueError(f"{g!r} is not a hook e_i of TL_{n}")
-    at = np.array([hooks[g] for g in gens], dtype=np.intp)
+    The orbit of the identity's upper half under e_i*x is searched
+    breadth first: level L holds the halves of rank >= r whose shortest
+    word has length L.  The least word of such a half is e_i.w' (upper)
+    or w'.e_i (lower), w' the least word of a half of level L - 1: a
+    shorter word for the half of w' would give a shorter one for the
+    half itself.  So rows rank a level by letter and then the rank of w',
+    columns by the rank of w' and then letter.  Every hook acts on every
+    half of a level at once, on the halves themselves."""
+    at = np.asarray(hooks, dtype=np.intp)
     points = np.arange(n, dtype=_small_ints(n))
     width = points.nbytes
     seen = {points.tobytes(): 0}
@@ -478,11 +470,11 @@ def _least_halves(gens, identity, r, wanted):
         target = (level == points).sum(axis=1) == r
         rows.append(level[by_row][target[by_row]])
         cols.append(level[by_col][target[by_col]])
-        # y[g * m + j]: the upper half of gens[g] * level[j].  The hook e_i
-        # puts the cup {i, i + 1} in and joins a and b, the old partners of
-        # i and i + 1: into a cup when both are cup ends, else the one cup
-        # end becomes a through point; two through points close up.  When
-        # {i, i + 1} already is a cup, this writes the half back as it was.
+        # y[g * m + j]: the upper half of e_{i+1} * level[j], i = at[g].
+        # The hook puts the cup {i, i + 1} in and joins a and b, the old
+        # partners of i and i + 1: into a cup when both are cup ends, else
+        # the one cup end becomes a through point; two through points close
+        # up.  When {i, i + 1} already is a cup, this writes the half back.
         m = len(level)
         y = np.tile(level, (len(at), 1))
         y_row, i = np.arange(len(y)), np.repeat(at, m)
@@ -525,26 +517,24 @@ def _through_points(halves):
     return (np.flatnonzero(halves == np.arange(n)) % n).reshape(R, -1)
 
 
-def tl_fern(gens, position: int):
+def tl_fern(n, position: int):
     """Rows, columns and idempotent mask of the eggbox of TL_n's D-class
-    at ``position`` (rank n - 2*position), without enumerating TL_n.
+    at ``position`` (rank n - 2*position), without enumerating TL_n or
+    building any diagram: the hooks are their indices 0 .. n - 2.
 
-    ``gens`` is a generating set of TL_n with its identity whose other
-    elements are hooks e_i, as the catalog's are; any other element
-    raises ValueError.  Rows and columns are (R, n) and (C, n) arrays of
-    upper and lower halves, in the order ``eggbox`` gives their R- and
-    L-classes; cell (u, v) is black iff the diagram with halves u and v
-    is idempotent, i.e. iff v glued onto u keeps rank: each walk from a
-    through point of v, through cups alternately of u and v, ends at a
-    through point of u."""
-    identity = gens.identity
-    n = identity.degree
+    Rows and columns are (R, n) and (C, n) arrays of upper and lower
+    halves, in the order ``eggbox`` gives their R- and L-classes under
+    the catalog's hooks e_1 .. e_{n-1}; cell (u, v) is black iff the
+    diagram with halves u and v is idempotent, i.e. iff v glued onto u
+    keeps rank: each walk from a through point of v, through cups
+    alternately of u and v, ends at a through point of u."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
     if not 0 <= position <= n // 2:
         raise ValueError(f"no D-class at position {position}")
-    letters = [g for g in dict.fromkeys(gens.elements) if g != identity]
     r = n - 2 * position
     side = ballot(n, position)
-    rows, cols = _least_halves(letters, identity, r, side)
+    rows, cols = _least_halves(range(n - 1), n, r, side)
 
     # a walk at point p takes u's cup to q and v's cup from q; point n is
     # where it stops, reached from every through point of u and fixed.

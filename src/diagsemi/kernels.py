@@ -211,7 +211,7 @@ class Backend:
         return np.concatenate(reps), np.concatenate(orbits)
 
     def count_idempotents(self, masks):
-        return self._bits(masks)[:, self._idempotent].sum(axis=1).tolist()
+        return self._bits(masks)[:, self._idempotent].sum(axis=1)
 
     def count_dclasses(self, masks):
         """The number of D-classes of each subsemigroup in ``masks``: its
@@ -223,7 +223,7 @@ class Backend:
             rows = np.flatnonzero(sizes == s)
             for part in _spans(len(rows), _CHUNK_BYTES // (24 * s * s)):
                 counts[rows[part]] = self._dclasses_of_size(bits[rows[part]], s)
-        return counts.tolist()
+        return counts
 
     def _dclasses_of_size(self, bits, s):
         """``count_dclasses`` of the masks in ``bits``, all of size s."""

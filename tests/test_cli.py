@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from diagsemi import census, cli, engine, kernels
+from diagsemi import catalog, census, cli, engine, kernels
 from diagsemi.cli import main
 from diagsemi.elements import Bipartition
 from diagsemi.kernels import Backend
@@ -290,13 +290,16 @@ def test_fern_check_catches_a_wrong_cell(tmp_path, capsys, monkeypatch):
 
 
 def test_fern_never_enumerates(tmp_path, capsys, monkeypatch):
-    """fern neither enumerates TL_n nor multiplies two elements: its
-    orbit and its check take every product on partner arrays."""
+    """fern neither enumerates TL_n nor builds or multiplies a diagram
+    object: its orbit works on hook indices and halves, and its check
+    takes every product on partner arrays."""
     def refuse(*args, **kwargs):
-        raise AssertionError("fern must not enumerate TL_n or take element products")
+        raise AssertionError("fern must not enumerate TL_n or build diagram objects")
 
     monkeypatch.setattr(engine, "enumerate_semigroup", refuse)
     monkeypatch.setattr(engine, "green_structure", refuse)
+    monkeypatch.setattr(catalog, "standard_generators", refuse)
+    monkeypatch.setattr(Bipartition, "__init__", refuse)
     monkeypatch.setattr(Bipartition, "__mul__", refuse)
     path = tmp_path / "fern.pgm"
     code, out, _ = run_cli(capsys, "fern", 10, 4, "--out", path)
@@ -349,11 +352,15 @@ def test_fern_degree_cap(tmp_path, capsys):
 
 
 def test_fern_of_a_wide_single_cell(tmp_path, capsys):
-    """TL_200 D[0] is the identity alone: 199 generators of degree 200
-    and one cell, in bound and quick to check."""
-    code, out, _ = run_cli(capsys, "fern", 200, 0, "--out", tmp_path / "x.pgm")
-    assert code == 0
-    assert "TL_200 D[0]: 1x1 bitmap, 1 idempotent cells (brute-force 1, MATCH)" in out
+    """TL_n D[0] is the identity alone: n - 1 hooks of degree n and one
+    cell, in bound and quick to check.  TL_2048 D[0] is the widest the
+    orbit bound admits (4,192,256 point-products)."""
+    for n in (200, 2048):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "fern", n, 0, "--out", tmp_path / "x.pgm")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert f"TL_{n} D[0]: 1x1 bitmap, 1 idempotent cells (brute-force 1, MATCH)" in out
 
 
 def test_fern_unwritable_out_is_an_error(tmp_path, capsys):

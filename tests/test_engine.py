@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diagsemi import engine as engine_module
-from diagsemi.catalog import standard_generators
+from diagsemi.catalog import hook, standard_generators
 from diagsemi.elements import PBR, Bipartition, MapElement
 from diagsemi.engine import (
     LimitExceeded,
@@ -228,7 +228,6 @@ def _tl_halves(x):
 def test_tl_fern_matches_enumerated_eggbox(n):
     S = monoid("TL", n)
     green = green_structure(S)
-    gens = standard_generators("TL", n)
     for k in range(n // 2 + 1):
         box = green.eggbox(k)
         upper_of, lower_of = {}, {}  # class id -> the half all its members share
@@ -236,7 +235,7 @@ def test_tl_fern_matches_enumerated_eggbox(n):
             upper, lower = _tl_halves(S.elements[i])
             assert upper_of.setdefault(green.r_class[i], upper) == upper
             assert lower_of.setdefault(green.l_class[i], lower) == lower
-        rows, cols, mask = tl_fern(gens, k)
+        rows, cols, mask = tl_fern(n, k)
         uppers, lowers = list(map(tuple, rows.tolist())), list(map(tuple, cols.tolist()))
         assert uppers == [upper_of[c] for c in box.row_classes]
         assert lowers == [lower_of[c] for c in box.col_classes]
@@ -246,23 +245,29 @@ def test_tl_fern_matches_enumerated_eggbox(n):
         assert tl_cell_diagrams(rows, cols).tolist() == [
             tl_partners(x) for row in diagrams for x in row]
     with pytest.raises(ValueError):
-        tl_fern(gens, n // 2 + 1)
+        tl_fern(n, n // 2 + 1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_tl_fern_refuses_a_degree_below_one(n):
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        tl_fern(n, 0)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_least_halves_match_the_product_oracle(n):
     """The breadth-first ranking of the halves agrees with the one over
-    every word length, for the letters in catalog order, reversed and
-    rotated by one: the reorders move both tie-breaks, letter against
+    every word length, for the hook indices in catalog order, reversed
+    and rotated by one: the reorders move both tie-breaks, letter against
     the rank of the rest of the word."""
-    gens = standard_generators("TL", n)
-    letters = [g for g in dict.fromkeys(gens.elements) if g != gens.identity]
-    for order in (letters, letters[::-1], letters[1:] + letters[:1]):
+    hooks = list(range(n - 1))
+    for order in (hooks, hooks[::-1], hooks[1:] + hooks[:1]):
+        letters = [hook(n, i) for i in order]
         for k in range(n // 2 + 1):
             r = n - 2 * k
-            rows, cols = _least_halves(order, gens.identity, r, ballot(n, k))
+            rows, cols = _least_halves(order, n, r, ballot(n, k))
             assert (list(map(tuple, rows.tolist())), list(map(tuple, cols.tolist()))) == (
-                least_halves_by_products(order, gens.identity, r))
+                least_halves_by_products(letters, Bipartition.identity(n), r))
 
 
 def test_least_halves_take_no_diagram_products(monkeypatch):
@@ -272,27 +277,15 @@ def test_least_halves_take_no_diagram_products(monkeypatch):
         raise AssertionError("tl_products called")
 
     monkeypatch.setattr(engine_module, "tl_products", refused)
+    rows, cols = _least_halves(range(9), 10, 2, ballot(10, 4))
     gens = standard_generators("TL", 10)
-    letters = [g for g in gens.elements if g != gens.identity]
-    rows, cols = _least_halves(letters, gens.identity, 2, ballot(10, 4))
     assert (list(map(tuple, rows.tolist())), list(map(tuple, cols.tolist()))) == (
-        least_halves_by_products(letters, gens.identity, 2))
-
-
-def test_least_halves_refuse_a_letter_that_is_not_a_hook():
-    """e_1·e_3 of TL_4 is its own mirror image but not a hook."""
-    gens = standard_generators("TL", 4)
-    e1, e2, e3 = gens.elements
-    for r in (4, 2, 0):
-        with pytest.raises(ValueError, match="is not a hook e_i of TL_4"):
-            _least_halves([e1, e2, e3, e1 * e3], gens.identity, r, ballot(4, (4 - r) // 2))
+        least_halves_by_products(gens.elements, gens.identity, 2))
 
 
 def test_least_halves_refuse_a_wrong_count():
-    gens = standard_generators("TL", 6)
-    letters = [g for g in gens.elements if g != gens.identity]
     with pytest.raises(AssertionError, match="the orbit holds 9 halves of rank 2, not 8"):
-        _least_halves(letters, gens.identity, 2, 8)
+        _least_halves(range(5), 6, 2, 8)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
