@@ -16,22 +16,25 @@ closes every candidate of a level together, over packed mask rows (see
 ``kernels``).  Each level goes straight on to the fold to conjugacy
 classes, which maps every mask through the ambient symmetry group (the
 point permutations fixing the element set) and keeps the minimal image,
-where masks compare as plain integers with element i at bit i; then the
-statistics of the level's representatives are counted.  The states of a
-level share nothing, so each level is cut into at most ``jobs`` slices
-of about equal weight.  The calling process folds, counts and extends
-the first slice while ``jobs`` - 1 workers, forked once per census and
-each on its own pipe, take one of the others.
+where masks compare as plain integers with element i at bit i.  The
+states of a level share nothing, so each level is cut into at most
+``jobs`` slices of about equal weight.  The calling process folds and
+extends the first slice while ``jobs`` - 1 workers, forked once per
+census and each on its own pipe, take one of the others.
 
-A slice returns arrays, never an object per set: one structured row per
-class it finds (the packed mask and the statistics) and its distinct
-minimal images, as keys that compare as the masks do, with how many of
-its sets have each.  The caller concatenates them, checks every orbit
-against the sets found with one ``np.unique``, and sorts the classes by
-their keys, which is mask order.  ``CensusClasses`` holds the result;
-the histograms are ``np.unique`` counts of its columns, and the JSONL
-writer, like iteration over ``CensusRecord``s, builds Python values a
-chunk of rows at a time.
+A slice returns arrays, never an object per set: the masks of its sets
+that are their own minimal image, with their orbit sizes, and its
+distinct minimal images, as keys that compare as the masks do, with how
+many of its sets have each.  After each level the caller merges the
+images into one running ``np.unique`` table, so that it holds one entry
+for each class found so far.  After the search, the statistics of every class are
+counted in one pass: the classes in size order, cut into slices of a
+bounded size, go through the same processes ``jobs`` slices at a time.
+The caller then checks every orbit against the image table and sorts the
+classes by their keys, which is mask order.  ``CensusClasses`` holds
+the result; the histograms are ``np.unique`` counts of its columns, and
+the JSONL writer, like iteration over ``CensusRecord``s, builds Python
+values a chunk of rows at a time.
 """
 
 import json
@@ -46,7 +49,7 @@ import numpy as np
 from .elements import PointPermutation, conjugate
 from .engine import EnumeratedSemigroup
 from .formulas import decimal_string
-from .kernels import Backend, _spans, pack_masks, unpack_masks
+from .kernels import Backend, _spans, pack_masks, popcount, unpack_masks
 
 
 class FeasibilityError(RuntimeError):
@@ -220,56 +223,65 @@ def _python_rows(rows):
 
 
 # (kernels, packed mask of the non-identity units, class_dtype) of the
-# running census, read by _census_level: forked workers inherit it, so
-# nothing is pickled
+# running census, read by _census_level and _class_stats: forked workers
+# inherit it, so nothing is pickled
 _AMBIENT = None
+# a statistics slice takes classes whose D-class counts would take about
+# this many bytes of temporaries at once, which ``Backend.count_dclasses``
+# holds _CHUNK_BYTES at a time: I_3's 2963 classes would take 10 MB
+_STATS_BYTES = 1 << 24
 
 
 def _census_level(states):
     """The census of one slice ``states`` (masks, lo) of a level of the
     search: the states of its children, the rows of the classes of its
-    sets that are their own minimal image, and its distinct minimal images
-    (``_keys``) with how many of its sets have each."""
-    kernels, perm_row, dtype = _AMBIENT
+    sets that are their own minimal image, their statistics still zero,
+    and its distinct minimal images (``_keys``) with how many of its sets
+    have each."""
+    kernels, _, dtype = _AMBIENT
     masks, lo = states
     reps, orbits = kernels.min_image(masks)
     own = (masks == reps).all(axis=1)
-    own_masks = masks[own]
-    classes = np.empty(len(own_masks), dtype)
-    classes["mask"], classes["orbit_size"] = own_masks, orbits[own]
-    classes["size"] = kernels._bits(own_masks).sum(axis=1)
-    classes["d_classes"] = kernels.count_dclasses(own_masks)
-    classes["idempotents"] = kernels.count_idempotents(own_masks)
-    classes["has_nontrivial_perm"] = (own_masks & perm_row).any(axis=1)
+    classes = np.zeros(np.count_nonzero(own), dtype)
+    classes["mask"], classes["orbit_size"] = masks[own], orbits[own]
     children = kernels.extend_window(masks, lo)
     return (children["mask"], children["e"] + 1), classes, np.unique(_keys(reps), return_counts=True)
 
 
+def _class_stats(masks):
+    """The D-class count, the idempotent count and whether a non-identity
+    unit is in, of each subsemigroup in the packed ``masks``."""
+    kernels, perm_row, _ = _AMBIENT
+    return (kernels.count_dclasses(masks), kernels.count_idempotents(masks),
+            (masks & perm_row).any(axis=1))
+
+
 def _serve(pipe):
-    """A worker's loop: the census of each slice it receives on ``pipe``,
-    or the exception that raised and its traceback, sent back until the
-    caller closes the pipe."""
+    """A worker's loop: for each (function, slice) it receives on
+    ``pipe``, the function's value on the slice, or the exception that
+    raised and its traceback, sent back until the caller closes the pipe."""
     while True:
         try:
-            states = pipe.recv()
+            function, part = pipe.recv()
         except EOFError:
             return
         try:
-            reply = None, _census_level(states)
+            reply = None, function(part)
         except Exception as exc:  # raised again in the caller
             import traceback  # here, not at the top: it adds 3 ms to every start
             reply = exc, traceback.format_exc()
         pipe.send(reply)
 
 
-def _gather(pipes, slices):
-    """The census of each slice, in order: the first in this process while
-    the workers on ``pipes`` take one of the others each."""
+def _gather(pipes, function, slices):
+    """``function``, a module-level function, on each slice, in order: on
+    the first in this process while the workers on ``pipes`` take one of
+    the others each."""
     if len(slices) > len(pipes) + 1:
         raise ValueError(f"{len(slices)} slices for {len(pipes) + 1} processes")
-    for pipe, states in zip(pipes, slices[1:]):
-        pipe.send(states)
-    results = [_census_level(slices[0])]
+    for pipe, part in zip(pipes, slices[1:]):
+        pipe.send((function, part))
+    results = [function(slices[0])]
     for pipe in pipes[:len(slices) - 1]:
         try:
             exc, value = pipe.recv()
@@ -283,10 +295,10 @@ def _gather(pipes, slices):
 
 @contextmanager
 def _workers(count):
-    """A function from the slices of a level to their census, run by this
-    process and ``count`` forked workers.  The workers fork on entry, so
-    they inherit ``_AMBIENT``, and are stopped and joined on exit, on
-    success or failure alike."""
+    """A function from a module-level function and at most ``count`` + 1
+    slices to its value on each, run by this process and ``count`` forked
+    workers.  The workers fork on entry, so they inherit ``_AMBIENT``, and
+    are stopped and joined on exit, on success or failure alike."""
     fork = multiprocessing.get_context("fork")
     pipes, procs = [], []
     try:
@@ -296,12 +308,12 @@ def _workers(count):
             procs.append(fork.Process(target=_serve, args=(theirs,), daemon=True))
             procs[-1].start()
             theirs.close()  # the worker's end: its exit is then EOF on ours
-        yield lambda slices: _gather(pipes, slices)
+        yield lambda function, slices: _gather(pipes, function, slices)
     finally:
         for pipe in pipes:
             pipe.close()
         for proc in procs:
-            proc.terminate()  # a worker still busy with a slice of a failed level
+            proc.terminate()  # a worker still busy with a slice of a failed call
             proc.join()
 
 
@@ -325,8 +337,10 @@ def census_up_to_conjugacy(S, G=None, jobs=1):
                 class_dtype(n, len(G)))
     try:
         jobs = min(jobs, _usable_cpus())
-        classes, images, counts = [], [], []
-        with _workers(jobs - 1) as census_slices:
+        classes = []
+        # the distinct minimal images so far and how many sets have each
+        images, held = _keys(np.empty((0, (n + 7) // 8), np.uint8)), np.empty(0)
+        with _workers(jobs - 1) as run:
             # each level is the children of the slices of the one before, cut into
             # at most ``jobs`` slices of about equal weight (N - lo bounds a state's
             # candidates)
@@ -336,32 +350,49 @@ def census_up_to_conjugacy(S, G=None, jobs=1):
                 level, weights = [], n - lo
                 slices = [(masks[s], lo[s]) for s in _spans(weights, -(-weights.sum() // jobs))]
                 del masks, lo, weights  # from here on the slices alone hold the level
-                for kids, part, (part_images, part_counts) in census_slices(slices):
+                keys, counts = [images], [held]
+                for kids, part, (part_keys, part_counts) in run(_census_level, slices):
                     level.append(kids)
                     classes.append(part)
-                    images.append(part_images)
+                    keys.append(part_keys)
                     counts.append(part_counts)
                 # free the level before the next is built
-                del slices, kids, part, part_images, part_counts
+                del slices, kids, part, part_keys, part_counts
+                images, where = np.unique(np.concatenate(keys), return_inverse=True)
+                held = np.bincount(where, np.concatenate(counts), len(images))
+                del keys, counts, where
+            classes = np.concatenate(classes)
+            _count_statistics(run, classes, jobs)
     finally:
         _AMBIENT = None  # the tables are not kept past the call, nor past a failure
-    classes = np.concatenate(classes)
     keys = _keys(classes["mask"])
     order = np.argsort(keys)
     classes, keys = classes[order], keys[order]
 
-    # the sets of each distinct minimal image, over every slice; a class's
-    # own set is one of them, so each key is among the images
-    images, where = np.unique(np.concatenate(images), return_inverse=True)
-    counts = np.concatenate(counts)
-    held = np.bincount(where, counts, len(images))
+    # a class's own set is one of the sets of its minimal image, so each
+    # key is among the images
     short = np.flatnonzero(held[np.searchsorted(images, keys)] != classes["orbit_size"])
     if len(short):
         r = next(iter(CensusClasses(classes[short[:1]])))
         raise AssertionError(f"orbit of {r.mask:#x} does not hold {r.orbit_size} sets")
     if len(images) > len(keys):
         raise AssertionError(f"{len(images) - len(keys)} minimal images were found without their set")
-    return CensusClasses(classes), int(counts.sum())
+    return CensusClasses(classes), int(held.sum())
+
+
+def _count_statistics(run, classes, jobs):
+    """Fill in the statistics of the rows ``classes`` in one pass over
+    them in size order, cut into slices of similar sizes, ``jobs`` slices
+    at a time through ``run``."""
+    classes["size"] = popcount(classes["mask"])
+    by_size = np.argsort(classes["size"], kind="stable")
+    weights = 24 * classes["size"][by_size].astype(np.int64) ** 2
+    slices = [by_size[s] for s in _spans(weights, min(_STATS_BYTES, -(-weights.sum() // jobs)))]
+    for first in range(0, len(slices), jobs):
+        batch = slices[first:first + jobs]
+        for rows, stats in zip(batch, run(_class_stats, [classes["mask"][rows] for rows in batch])):
+            for field, values in zip(_STAT_FIELDS[2:], stats):
+                classes[field][rows] = values
 
 
 def subgroup_census(S, G=None, jobs=1):

@@ -370,24 +370,29 @@ def test_census_builds_the_product_tables_once_in_the_caller(monkeypatch, tmp_pa
 
 
 def _serial_workers(monkeypatch):
-    """Replace the forked workers by a census of every slice in this
-    process; returns the worker counts requested and, for every level,
-    its slices and the children states of their results."""
-    requested, maps = [], []
+    """Replace the forked workers by running every slice in this process;
+    returns the worker counts requested, for every level of the search its
+    slices and the children states of their results, and the slices of
+    every call of the statistics pass."""
+    requested, maps, stats = [], [], []
 
     @contextmanager
     def serial(count):
         requested.append(count)
 
-        def census_slices(slices):
-            results = [census._census_level(states) for states in slices]
-            maps.append((slices, [children for children, _, _ in results]))
+        def run(function, slices):
+            results = [function(part) for part in slices]
+            if function is census._census_level:
+                maps.append((slices, [children for children, _, _ in results]))
+            else:
+                assert function is census._class_stats
+                stats.append(slices)
             return results
 
-        yield census_slices
+        yield run
 
     monkeypatch.setattr(census, "_workers", serial)
-    return requested, maps
+    return requested, maps, stats
 
 
 def test_census_maps_each_level_in_at_most_jobs_slices(monkeypatch):
@@ -395,7 +400,7 @@ def test_census_maps_each_level_in_at_most_jobs_slices(monkeypatch):
     search, over at most two non-empty slices that make up the level: the
     children of the slices of the level before, in order.  The root level,
     the empty set alone, is one slice."""
-    _, maps = _serial_workers(monkeypatch)
+    _, maps, _ = _serial_workers(monkeypatch)
     monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
     S = monoid("I", 3)
     expected = census_up_to_conjugacy(S, jobs=1)
@@ -417,10 +422,43 @@ def test_census_maps_each_level_in_at_most_jobs_slices(monkeypatch):
     assert not len(states[0]) and not len(level[0])
 
 
+@pytest.mark.parametrize("budget", [None, 1 << 16])
+def test_census_counts_the_statistics_in_one_pass(monkeypatch, budget):
+    """On I_3 at one job the per-class statistics take one pass after the
+    search, not one per level: ``count_dclasses`` runs once per statistics
+    slice, one slice for all 2963 classes, or many under a small byte
+    budget, the classes in size order.  With two jobs each call takes at
+    most two slices, and the classes are the same."""
+    _, maps, stats = _serial_workers(monkeypatch)
+    calls, count_dclasses = [], Backend.count_dclasses
+
+    def counted(self, masks):
+        calls.append(len(masks))
+        return count_dclasses(self, masks)
+
+    monkeypatch.setattr(Backend, "count_dclasses", counted)
+    if budget is not None:
+        monkeypatch.setattr(census, "_STATS_BYTES", budget)
+    S = monoid("I", 3)
+    classes, raw = census_up_to_conjugacy(S)
+    assert (len(classes), raw) == (2963, 16143)
+    assert len(maps) == 11
+    slices = [part for call in stats for part in call]
+    assert all(len(call) == 1 for call in stats)
+    assert calls == [len(part) for part in slices] and sum(calls) == len(classes)
+    assert (len(slices) == 1) == (budget is None)
+    sizes = [bin(mask).count("1") for part in slices for mask in unpack_masks(part)]
+    assert sizes == sorted(r.size for r in classes)
+    stats.clear()
+    monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
+    assert census_up_to_conjugacy(S, jobs=2) == (classes, raw)
+    assert all(1 <= len(call) <= 2 for call in stats) and len(stats[0]) == 2
+
+
 def test_jobs_capped_at_cpu_count(monkeypatch):
     """``jobs`` counts the calling process, so a census forks ``jobs`` - 1
     workers, and no more than the usable CPUs less one."""
-    requested, _ = _serial_workers(monkeypatch)
+    requested, _, _ = _serial_workers(monkeypatch)
     # the CPUs this process may run on, not all of the host's
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -450,12 +488,11 @@ def test_jobs_below_one_are_refused_before_any_work(monkeypatch, jobs):
         subgroup_census(monoid("S", 2), jobs=jobs)
 
 
-def test_gather_refuses_more_slices_than_processes(monkeypatch):
+def test_gather_refuses_more_slices_than_processes():
     """Slices past one for this process and one for each worker would be
     dropped, so ``_gather`` refuses them before it runs any slice."""
-    monkeypatch.setattr(census, "_census_level", lambda states: pytest.fail("ran a slice"))
     with pytest.raises(ValueError, match="^2 slices for 1 processes$"):
-        census._gather([], [census._root(4)] * 2)
+        census._gather([], lambda part: pytest.fail("ran a slice"), [census._root(4)] * 2)
 
 
 def test_a_class_costs_ten_bytes_in_the_census_result():

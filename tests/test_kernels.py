@@ -42,11 +42,20 @@ def _j_classes(table, mask):
     return len(set(brute_j_classes(sub))) if members else 0
 
 
-def _random_perms(n, count, seed):
-    """The identity and ``count - 1`` random permutations of range(n)."""
-    rng = random.Random(seed)
-    return np.array([list(range(n))] + [rng.sample(range(n), n) for _ in range(count - 1)],
-                    dtype=np.int32)
+def _random_group(n, seed):
+    """A group of order 8 on range(n): the symmetries of a square, acting on
+    n // 4 disjoint squares at once (any points left over fixed), with the
+    points relabelled at random.  ``min_image`` reads orbit sizes off
+    stabilisers, so its permutations must form a group."""
+    square = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2),
+              (3, 2, 1, 0), (0, 3, 2, 1), (1, 0, 3, 2), (2, 1, 0, 3)]
+    label = random.Random(seed).sample(range(n), n)
+    perms = np.tile(np.arange(n, dtype=np.int32), (len(square), 1))
+    for row, symmetry in zip(perms, square):
+        for k in range(0, n - n % 4, 4):
+            for i in range(4):
+                row[label[k + i]] = label[k + symmetry[i]]
+    return perms
 
 
 def _check_against_oracles(table, perms, masks):
@@ -148,17 +157,41 @@ def test_lookup_table_at_the_census_bound_is_8_mib():
     assert kernels_module._lookup_table(_capped_sum(n)).nbytes == 1 << 23
 
 
+def test_fold_table_at_the_census_bound_is_under_1_mib():
+    """S_5's fold table, the largest a gated census builds (N = |G| = 120),
+    takes under 1 MiB: 16 rows a 4-bit chunk of |G| images of two words.
+    Tables on byte chunks would take 7 MiB."""
+    perms = symmetry_group(monoid("S", 5)).index_perms
+    assert perms.shape == (120, 120)
+    assert kernels_module._fold_table(perms, 120).nbytes == 30 * 16 * 120 * 2 * 8 <= 1 << 20
+
+
 def test_min_image_and_dclasses_wider_than_64():
-    n = 70
-    table = _capped_sum(n)
-    rng = random.Random(70)
-    perms = _random_perms(n, 8, 70)
-    kernels = _kernels(table, perms)
-    singles = list(_children(kernels, n, 0, 0).values())
-    masks = {0} | set(singles)
-    for mask in rng.sample(singles, 12):
-        masks.update(_children(kernels, n, mask, 0).values())
-    _check_against_oracles(table, perms, sorted(masks))
+    """Masks of two and three 64-bit words: the fold compares images
+    word by word from the highest, so it needs ties past the first."""
+    for n in (70, 140):
+        table = _capped_sum(n)
+        rng = random.Random(n)
+        perms = _random_group(n, n)
+        kernels = _kernels(table, perms)
+        singles = list(_children(kernels, n, 0, 0).values())
+        masks = {0} | set(singles)
+        for mask in rng.sample(singles, 12):
+            masks.update(_children(kernels, n, mask, 0).values())
+        # sparse closed masks, whose images often tie on the high words:
+        # the top element with any three from n // 2 up
+        masks.update(sum(1 << e for e in rng.sample(range(n // 2, n - 1), 3)) | 1 << (n - 1)
+                     for _ in range(12))
+        _check_against_oracles(table, perms, sorted(masks))
+    # a least image whose middle word is all ones, which an image not tied
+    # on the top word can match there and then beat on the low word; x·y = x
+    # closes every set
+    n = 140
+    swap = np.arange(n, dtype=np.int32)
+    swap[[0, 128, 129, 130]] = 130, 129, 128, 0
+    left_zero = np.repeat(np.arange(n, dtype=np.int32)[:, None], n, axis=1)
+    _check_against_oracles(left_zero, np.stack([np.arange(n, dtype=np.int32), swap]),
+                           [((1 << 64) - 1) << 64 | 1 << 128 | 1])
 
 
 @pytest.mark.parametrize("family,n", [("IS", 3), ("T", 3), ("P", 2)])
@@ -192,7 +225,7 @@ def test_batches_around_one_chunk(monkeypatch, kernel):
     D-class pass chunks them as one size."""
     n = 70
     table = _capped_sum(n)
-    perms = _random_perms(n, 8, 71)
+    perms = _random_group(n, 71)
     pairs = [1 << e | 1 << (n - 1) for e in range(n // 2, n - 1)]
     oracle = {"min_image": lambda masks: ([min(_orbit(m, perms)) for m in masks],
                                           [len(_orbit(m, perms)) for m in masks]),
