@@ -20,16 +20,19 @@ where masks compare as plain integers with element i at bit i.  The
 states of a level share nothing, so each level is cut into at most
 ``jobs`` slices of about equal weight.  The calling process folds and
 extends the first slice while ``jobs`` - 1 workers, forked once per
-census and each on its own pipe, take one of the others.
+census and each on its own pipe, take one of the others.  Every slice
+function takes the ambient, the kernels and their tables, as an
+argument, which the workers inherit at the fork.
 
 A slice returns arrays, never an object per set: the masks of its sets
 that are their own minimal image, with their orbit sizes, and its
 distinct minimal images, as keys that compare as the masks do, with how
 many of its sets have each.  After each level the caller merges the
 images into one running ``np.unique`` table, so that it holds one entry
-for each class found so far.  After the search, the statistics of every class are
-counted in one pass: the classes in size order, cut into slices of a
-bounded size, go through the same processes ``jobs`` slices at a time.
+for each class found so far.  After the search, the statistics of every
+class are counted in one pass: the classes in size order, cut as a level
+is into at most ``jobs`` slices of about equal weight (the sum of the
+squares of their sizes), go through the same processes in one call.
 The caller then checks every orbit against the image table and sorts the
 classes by their keys, which is mask order.  ``CensusClasses`` holds
 the result; the histograms are ``np.unique`` counts of its columns, and
@@ -222,23 +225,19 @@ def _python_rows(rows):
         yield from zip(unpack_masks(chunk["mask"]), *(chunk[f].tolist() for f in _STAT_FIELDS))
 
 
-# (kernels, packed mask of the non-identity units, class_dtype) of the
-# running census, read by _census_level and _class_stats: forked workers
-# inherit it, so nothing is pickled
-_AMBIENT = None
-# a statistics slice takes classes whose D-class counts would take about
-# this many bytes of temporaries at once, which ``Backend.count_dclasses``
-# holds _CHUNK_BYTES at a time: I_3's 2963 classes would take 10 MB
-_STATS_BYTES = 1 << 24
+def _share(weights, jobs):
+    """The one rule by which a census shares out its work: at most ``jobs``
+    slices of consecutive items of about equal total ``weights``."""
+    return _spans(weights, -(-weights.sum() // jobs))
 
 
-def _census_level(states):
+def _census_level(ambient, states):
     """The census of one slice ``states`` (masks, lo) of a level of the
     search: the states of its children, the rows of the classes of its
     sets that are their own minimal image, their statistics still zero,
     and its distinct minimal images (``_keys``) with how many of its sets
     have each."""
-    kernels, _, dtype = _AMBIENT
+    kernels, _, dtype = ambient
     masks, lo = states
     reps, orbits = kernels.min_image(masks)
     own = (masks == reps).all(axis=1)
@@ -248,40 +247,41 @@ def _census_level(states):
     return (children["mask"], children["e"] + 1), classes, np.unique(_keys(reps), return_counts=True)
 
 
-def _class_stats(masks):
+def _class_stats(ambient, masks):
     """The D-class count, the idempotent count and whether a non-identity
     unit is in, of each subsemigroup in the packed ``masks``."""
-    kernels, perm_row, _ = _AMBIENT
+    kernels, perm_row, _ = ambient
     return (kernels.count_dclasses(masks), kernels.count_idempotents(masks),
             (masks & perm_row).any(axis=1))
 
 
-def _serve(pipe):
+def _serve(pipe, ambient):
     """A worker's loop: for each (function, slice) it receives on
-    ``pipe``, the function's value on the slice, or the exception that
-    raised and its traceback, sent back until the caller closes the pipe."""
+    ``pipe``, the function's value on ``ambient`` and the slice, or the
+    exception that raised and its traceback, sent back until the caller
+    closes the pipe."""
     while True:
         try:
             function, part = pipe.recv()
         except EOFError:
             return
         try:
-            reply = None, function(part)
+            reply = None, function(ambient, part)
         except Exception as exc:  # raised again in the caller
             import traceback  # here, not at the top: it adds 3 ms to every start
             reply = exc, traceback.format_exc()
         pipe.send(reply)
 
 
-def _gather(pipes, function, slices):
-    """``function``, a module-level function, on each slice, in order: on
-    the first in this process while the workers on ``pipes`` take one of
-    the others each."""
+def _gather(pipes, ambient, function, slices):
+    """``function``, a module-level function, on ``ambient`` and each
+    slice, in order: on the first in this process while the workers on
+    ``pipes`` take one of the others each."""
     if len(slices) > len(pipes) + 1:
         raise ValueError(f"{len(slices)} slices for {len(pipes) + 1} processes")
     for pipe, part in zip(pipes, slices[1:]):
         pipe.send((function, part))
-    results = [function(slices[0])]
+    results = [function(ambient, slices[0])]
     for pipe in pipes[:len(slices) - 1]:
         try:
             exc, value = pipe.recv()
@@ -294,21 +294,23 @@ def _gather(pipes, function, slices):
 
 
 @contextmanager
-def _workers(count):
+def _workers(count, ambient):
     """A function from a module-level function and at most ``count`` + 1
-    slices to its value on each, run by this process and ``count`` forked
-    workers.  The workers fork on entry, so they inherit ``_AMBIENT``, and
-    are stopped and joined on exit, on success or failure alike."""
+    slices to its value on ``ambient`` and each slice, run by this process
+    and ``count`` forked workers.  The workers fork on entry and get
+    ``ambient`` as an argument of their ``Process``, so they inherit it
+    and nothing of it is pickled; they are stopped and joined on exit, on
+    success or failure alike."""
     fork = multiprocessing.get_context("fork")
     pipes, procs = [], []
     try:
         for _ in range(count):
             ours, theirs = fork.Pipe()
             pipes.append(ours)
-            procs.append(fork.Process(target=_serve, args=(theirs,), daemon=True))
+            procs.append(fork.Process(target=_serve, args=(theirs, ambient), daemon=True))
             procs[-1].start()
             theirs.close()  # the worker's end: its exit is then EOF on ours
-        yield lambda function, slices: _gather(pipes, function, slices)
+        yield lambda function, slices: _gather(pipes, ambient, function, slices)
     finally:
         for pipe in pipes:
             pipe.close()
@@ -325,7 +327,6 @@ def _check_jobs(jobs):
 def census_up_to_conjugacy(S, G=None, jobs=1):
     """The conjugacy classes of subsemigroups of S and the number of
     subsemigroups: returns (``CensusClasses``, raw_total)."""
-    global _AMBIENT
     _check_jobs(jobs)
     check_census_bound(len(S))
     if G is None:
@@ -333,38 +334,43 @@ def census_up_to_conjugacy(S, G=None, jobs=1):
     n, table = len(S), S.multiplication_table()
     perm_bits = np.zeros(n, bool)
     perm_bits[_units(table)[1:]] = True
-    _AMBIENT = (Backend(table, G.index_perms), np.packbits(perm_bits, bitorder="little"),
-                class_dtype(n, len(G)))
-    try:
-        jobs = min(jobs, _usable_cpus())
-        classes = []
-        # the distinct minimal images so far and how many sets have each
-        images, held = _keys(np.empty((0, (n + 7) // 8), np.uint8)), np.empty(0)
-        with _workers(jobs - 1) as run:
-            # each level is the children of the slices of the one before, cut into
-            # at most ``jobs`` slices of about equal weight (N - lo bounds a state's
-            # candidates)
-            level = [_root(n)]
-            while sum(len(masks) for masks, _ in level):
-                masks, lo = map(np.concatenate, zip(*level))
-                level, weights = [], n - lo
-                slices = [(masks[s], lo[s]) for s in _spans(weights, -(-weights.sum() // jobs))]
-                del masks, lo, weights  # from here on the slices alone hold the level
-                keys, counts = [images], [held]
-                for kids, part, (part_keys, part_counts) in run(_census_level, slices):
-                    level.append(kids)
-                    classes.append(part)
-                    keys.append(part_keys)
-                    counts.append(part_counts)
-                # free the level before the next is built
-                del slices, kids, part, part_keys, part_counts
-                images, where = np.unique(np.concatenate(keys), return_inverse=True)
-                held = np.bincount(where, np.concatenate(counts), len(images))
-                del keys, counts, where
-            classes = np.concatenate(classes)
-            _count_statistics(run, classes, jobs)
-    finally:
-        _AMBIENT = None  # the tables are not kept past the call, nor past a failure
+    # the kernels, the packed non-identity units and the class row, which
+    # the forked workers inherit, so nothing of it is pickled
+    ambient = (Backend(table, G.index_perms), np.packbits(perm_bits, bitorder="little"),
+               class_dtype(n, len(G)))
+    jobs = min(jobs, _usable_cpus())
+    classes = []
+    # the distinct minimal images so far and how many sets have each
+    images, held = _keys(np.empty((0, (n + 7) // 8), np.uint8)), np.empty(0)
+    with _workers(jobs - 1, ambient) as run:
+        # each level is the children of the slices of the one before, shared
+        # out by N - lo, the bound on a state's candidates
+        level = [_root(n)]
+        while sum(len(masks) for masks, _ in level):
+            masks, lo = map(np.concatenate, zip(*level))
+            level = []
+            slices = [(masks[s], lo[s]) for s in _share(n - lo, jobs)]
+            del masks, lo  # from here on the slices alone hold the level
+            keys, counts = [images], [held]
+            for kids, part, (part_keys, part_counts) in run(_census_level, slices):
+                level.append(kids)
+                classes.append(part)
+                keys.append(part_keys)
+                counts.append(part_counts)
+            # free the level before the next is built
+            del slices, kids, part, part_keys, part_counts
+            images, where = np.unique(np.concatenate(keys), return_inverse=True)
+            held = np.bincount(where, np.concatenate(counts), len(images))
+            del keys, counts, where
+        # the statistics in one run over the classes in size order, shared
+        # out by the sum of the squares of their sizes
+        classes = np.concatenate(classes)
+        classes["size"] = popcount(classes["mask"])
+        by_size = np.argsort(classes["size"], kind="stable")
+        slices = [by_size[s] for s in _share(classes["size"][by_size].astype(np.int64) ** 2, jobs)]
+        for rows, stats in zip(slices, run(_class_stats, [classes["mask"][rows] for rows in slices])):
+            for field, values in zip(_STAT_FIELDS[2:], stats):
+                classes[field][rows] = values
     keys = _keys(classes["mask"])
     order = np.argsort(keys)
     classes, keys = classes[order], keys[order]
@@ -378,21 +384,6 @@ def census_up_to_conjugacy(S, G=None, jobs=1):
     if len(images) > len(keys):
         raise AssertionError(f"{len(images) - len(keys)} minimal images were found without their set")
     return CensusClasses(classes), int(held.sum())
-
-
-def _count_statistics(run, classes, jobs):
-    """Fill in the statistics of the rows ``classes`` in one pass over
-    them in size order, cut into slices of similar sizes, ``jobs`` slices
-    at a time through ``run``."""
-    classes["size"] = popcount(classes["mask"])
-    by_size = np.argsort(classes["size"], kind="stable")
-    weights = 24 * classes["size"][by_size].astype(np.int64) ** 2
-    slices = [by_size[s] for s in _spans(weights, min(_STATS_BYTES, -(-weights.sum() // jobs)))]
-    for first in range(0, len(slices), jobs):
-        batch = slices[first:first + jobs]
-        for rows, stats in zip(batch, run(_class_stats, [classes["mask"][rows] for rows in batch])):
-            for field, values in zip(_STAT_FIELDS[2:], stats):
-                classes[field][rows] = values
 
 
 def subgroup_census(S, G=None, jobs=1):

@@ -100,9 +100,9 @@ def cmd_census(args):
     if args.family == "S" and args.stats:
         raise ValueError("--stats is not available for the S row, "
                          "which counts subgroup classes only")
-    if args.raw and args.stats:
-        raise ValueError("--stats is not available with --raw, "
-                         "which counts the subsemigroups only")
+    if args.raw and (args.stats or args.jobs > 1):
+        raise ValueError("--stats and --jobs over 1 are not available with --raw, "
+                         "which counts the subsemigroups only, in one process")
     census_mod.check_census_bound(family_order(args.family, args.n),
                                   what=f"{args.family}_{args.n}")
     S = _enumerate(args.family, args.n)

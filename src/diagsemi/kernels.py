@@ -41,9 +41,13 @@ mask.  ``count_dclasses`` takes the masks of one size s together: it
 gathers the s x s products of each subsemigroup T from the table, marks
 the successors {x} ∪ xT ∪ Tx of every member x, and one stacked boolean
 square of those s x s matrices gives every principal ideal.  A member
-starts a new D-class when no lower member has the same ideal.  The
-census hands it its classes in size order, a slice at a time, so each
-size falls in one slice or a few.
+starts a new D-class when no lower member has the same ideal.  A mask
+costs it, by tracemalloc, about 16 bytes an entry of its s x s arrays
+(the successors, the member numbers of the products and the scatter
+index, int32 so that numpy's cast to intp is all it adds) and 40 bytes
+a byte of the packed mask; its chunks are cut by that cost.  The census
+hands it its classes in size order, so each size falls in one slice or
+a few.
 
 Every kernel works in chunks of about ``_CHUNK_BYTES`` of temporaries,
 cut by ``_spans`` into slices of consecutive items of about equal weight,
@@ -88,34 +92,35 @@ def _words(bits):
     return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
-def _lookup_table(table):
+def _subset_ors(single):
+    """Row c·2^k + v: the OR of the rows ``single[c, j]`` over the bits j
+    set in v, for every chunk c of k rows and every v below 2^k."""
+    count, k = single.shape[:2]
+    out = np.zeros((count, 1 << k, *single.shape[2:]), single.dtype)
+    for j in range(k):  # the subsets holding bit j are those without it, plus row j
+        np.bitwise_or(out[:, :1 << j], single[:, j, None], out=out[:, 1 << j:2 << j])
+    return out.reshape(count << k, -1)
+
+
+def _lookup_table(table, single):
     """Row (x·⌈N/8⌉ + c)·256 + b: the packed OR of ``x·y | y·x`` over the
-    elements y of byte chunk c whose bits are set in b, in uint64 words."""
+    elements y of byte chunk c whose bits are set in b, in uint64 words,
+    as ``single`` packs each element alone."""
     n = len(table)
-    nb = (n + 7) // 8
-    single = _words(np.eye(n, dtype=bool))
-    pairs = np.zeros((n, 8 * nb, single.shape[1]), np.uint64)
+    pairs = np.zeros((n, 8 * ((n + 7) // 8), single.shape[1]), np.uint64)
     pairs[:, :n] = single[table] | single[table.T]
-    pairs = pairs.reshape(n, nb, 8, -1)
-    out = np.zeros((n, nb, 256, single.shape[1]), np.uint64)
-    for j in range(8):  # the subsets holding bit j are those without it, plus y = 8c + j
-        np.bitwise_or(out[:, :, :1 << j], pairs[:, :, j, None], out=out[:, :, 1 << j:2 << j])
-    return out.reshape(n * nb * 256, -1)
+    return _subset_ors(pairs.reshape(-1, 8, single.shape[1]))
 
 
-def _fold_table(perms, n):
+def _fold_table(perms, single):
     """Row 16c + v: the packed images under every permutation g of the
     elements of nibble chunk c (elements 4c .. 4c+3) whose bits are set in
-    v, g by g, each in ⌈N/64⌉ uint64 words."""
-    count, words = (n + 3) // 4, (n + 63) // 64
-    g = np.arange(len(perms))[:, None]
-    single = np.zeros((len(perms), 4 * count, words), np.uint64)
-    single[g, np.arange(n), perms // 64] = np.uint64(1) << (perms % 64).astype(np.uint64)
-    single = single.reshape(len(perms), count, 4, words).transpose(1, 2, 0, 3)
-    out = np.zeros((count, 16, len(perms), words), np.uint64)
-    for j in range(4):  # the subsets holding bit j are those without it, plus element 4c + j
-        np.bitwise_or(out[:, :1 << j], single[:, j, None], out=out[:, 1 << j:2 << j])
-    return out.reshape(16 * count, -1)
+    v, g by g, each in ⌈N/64⌉ uint64 words, as ``single`` packs each
+    element alone."""
+    count, words = (len(single) + 3) // 4, single.shape[1]
+    images = np.zeros((len(perms), 4 * count, words), np.uint64)
+    images[:, :len(single)] = single[perms]
+    return _subset_ors(images.reshape(len(perms), count, 4, words).transpose(1, 2, 0, 3))
 
 
 # the set bits of each byte value
@@ -151,10 +156,10 @@ class Backend:
         self._n = n = len(table)
         self._bytes = nb = (n + 7) // 8
         self._table = table
-        self._lookup = _lookup_table(table)
+        self._single = _words(np.eye(n, dtype=bool))
+        self._lookup = _lookup_table(table, self._single)
         # the first lookup row of each element and chunk
         self._cells = 256 * np.arange(n * nb).reshape(n, nb)
-        self._single = _words(np.eye(n, dtype=bool))
         self._below = _words(np.tri(n + 1, n, -1, bool))  # row e: the elements below e
         # the temporaries of one candidate: its gathered lookup rows and their indices
         self._pair_bytes = nb * (self._lookup.itemsize * self._lookup.shape[1] + 8)
@@ -162,7 +167,7 @@ class Backend:
         self._idempotent = np.packbits(np.diagonal(table) == np.arange(n), bitorder="little")
         self._order = len(perms)
         self._words = (n + 63) // 64
-        self._fold = _fold_table(perms, n)
+        self._fold = _fold_table(perms, self._single)
         # the first fold row of each nibble chunk, for every nibble a mask
         # row holds (two a byte); those past N are never read
         self._chunk_rows = (16 * np.arange(2 * nb, dtype=np.uint16))[:, None]
@@ -272,22 +277,25 @@ class Backend:
         counts = np.zeros(len(masks), int)
         for s in set(sizes.tolist()) - {0}:
             rows = np.flatnonzero(sizes == s)
-            for part in _spans(len(rows), _CHUNK_BYTES // (24 * s * s)):
-                counts[rows[part]] = self._dclasses_of_size(self._bits(masks[rows[part]]), s)
+            cost = 16 * s * s + 24 * s + 40 * self._bytes  # a mask's, as measured
+            for part in _spans(len(rows), _CHUNK_BYTES // cost):
+                counts[rows[part]] = self._dclasses_of_size(masks[rows[part]], s)
         return counts
 
-    def _dclasses_of_size(self, bits, s):
-        """``count_dclasses`` of the masks in ``bits``, all of size s."""
+    def _dclasses_of_size(self, masks, s):
+        """``count_dclasses`` of the packed ``masks``, all of size s."""
+        bits = self._bits(masks)
         r, n = bits.shape
         members = np.nonzero(bits)[1].reshape(r, s)  # ascending in each row
         # the member number of each element of each mask, flat over the rows
         local = np.cumsum(bits, axis=1, dtype=np.int32).ravel() - 1
         products = self._table[members[:, :, None], members[:, None, :]]
         ab = local[products + (n * np.arange(r, dtype=np.int32))[:, None, None]]
+        del bits, members, local, products  # not held through the scatter
         # succ[t, a, b]: member b is in {a} ∪ aT ∪ Ta, set at flat index
         # t·s² + a·s + b; a block's diagonal is every (s+1)th of its s² entries
         succ = np.zeros((r, s, s), np.float32)
-        flat, rows = succ.reshape(-1), s * np.arange(r * s).reshape(r, s, 1)
+        flat, rows = succ.reshape(-1), (s * np.arange(r * s, dtype=np.int32)).reshape(r, s, 1)
         flat[rows + ab] = 1
         flat[rows + ab.transpose(0, 2, 1)] = 1
         succ.reshape(r, s * s)[:, ::s + 1] = 1

@@ -1,8 +1,10 @@
+import gc
 import multiprocessing
 import os
 import random
 import time
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from itertools import permutations
 
@@ -289,7 +291,32 @@ def test_units_are_the_permutation_diagrams(family, n):
     assert set(units[1:].tolist()) == expected
 
 
-def test_a_failed_census_keeps_no_tables(monkeypatch):
+@pytest.fixture
+def backends(monkeypatch):
+    """Weak references to every ``Backend`` a census builds."""
+    refs = []
+
+    def built(*args):
+        kernels = Backend(*args)
+        refs.append(weakref.ref(kernels))
+        return kernels
+
+    monkeypatch.setattr(census, "Backend", built)
+    return refs
+
+
+def _check_no_tables_left(backends):
+    """No census worker runs, no ``Backend`` of a finished or failed census
+    is alive, and no attribute of the census module refers to one."""
+    gc.collect()
+    assert not multiprocessing.active_children()
+    assert backends and all(ref() is None for ref in backends)
+    values = list(vars(census).values())
+    values += [item for value in values if isinstance(value, (tuple, list)) for item in value]
+    assert not any(isinstance(value, Backend) for value in values)
+
+
+def test_a_failed_census_keeps_no_tables(monkeypatch, backends):
     """A census whose kernel raises drops its ambient all the same."""
     def fail(self, masks):
         raise RuntimeError("kernel failure")
@@ -297,7 +324,7 @@ def test_a_failed_census_keeps_no_tables(monkeypatch):
     monkeypatch.setattr(Backend, "min_image", fail)
     with pytest.raises(RuntimeError, match="kernel failure"):
         census_up_to_conjugacy(monoid("T", 2))
-    assert census._AMBIENT is None
+    _check_no_tables_left(backends)
 
 
 def _failing_min_image(monkeypatch, where, fail):
@@ -315,19 +342,15 @@ def _failing_min_image(monkeypatch, where, fail):
     monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
 
 
-def _no_workers_left():
-    return not multiprocessing.active_children() and census._AMBIENT is None
-
-
-def test_two_jobs_leave_no_worker_running(monkeypatch):
+def test_two_jobs_leave_no_worker_running(monkeypatch, backends):
     monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
     S = monoid("T", 3)
     assert census_up_to_conjugacy(S, jobs=2) == census_up_to_conjugacy(S, jobs=1)
-    assert _no_workers_left()
+    _check_no_tables_left(backends)
 
 
 @pytest.mark.parametrize("where", ["caller", "worker"])
-def test_a_kernel_failure_surfaces_in_the_caller(monkeypatch, where):
+def test_a_kernel_failure_surfaces_in_the_caller(monkeypatch, backends, where):
     """An exception in the caller's slice or in a worker's reaches the
     caller with its message, and every worker is stopped and joined."""
     def fail():
@@ -336,16 +359,16 @@ def test_a_kernel_failure_surfaces_in_the_caller(monkeypatch, where):
     _failing_min_image(monkeypatch, where, fail)
     with pytest.raises(ValueError, match=f"kernel failure in the {where}"):
         census_up_to_conjugacy(monoid("T", 3), jobs=2)
-    assert _no_workers_left()
+    _check_no_tables_left(backends)
 
 
-def test_a_dead_worker_raises_in_the_caller(monkeypatch):
+def test_a_dead_worker_raises_in_the_caller(monkeypatch, backends):
     """A worker that exits mid-slice is EOF on its pipe: the census raises
     rather than waits, and leaves no worker behind."""
     _failing_min_image(monkeypatch, "worker", lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="census worker died"):
         census_up_to_conjugacy(monoid("T", 3), jobs=2)
-    assert _no_workers_left()
+    _check_no_tables_left(backends)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -355,10 +378,10 @@ def test_census_builds_the_product_tables_once_in_the_caller(monkeypatch, tmp_pa
     to a file, so a build in a worker would show up under the worker's pid."""
     log = tmp_path / "builds"
 
-    def logged(table):
+    def logged(*args):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return _lookup_table(table)
+        return _lookup_table(*args)
 
     monkeypatch.setattr("diagsemi.kernels._lookup_table", logged)
     monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
@@ -377,11 +400,11 @@ def _serial_workers(monkeypatch):
     requested, maps, stats = [], [], []
 
     @contextmanager
-    def serial(count):
+    def serial(count, ambient):
         requested.append(count)
 
         def run(function, slices):
-            results = [function(part) for part in slices]
+            results = [function(ambient, part) for part in slices]
             if function is census._census_level:
                 maps.append((slices, [children for children, _, _ in results]))
             else:
@@ -422,13 +445,12 @@ def test_census_maps_each_level_in_at_most_jobs_slices(monkeypatch):
     assert not len(states[0]) and not len(level[0])
 
 
-@pytest.mark.parametrize("budget", [None, 1 << 16])
-def test_census_counts_the_statistics_in_one_pass(monkeypatch, budget):
-    """On I_3 at one job the per-class statistics take one pass after the
-    search, not one per level: ``count_dclasses`` runs once per statistics
-    slice, one slice for all 2963 classes, or many under a small byte
-    budget, the classes in size order.  With two jobs each call takes at
-    most two slices, and the classes are the same."""
+def test_census_counts_the_statistics_in_one_pass(monkeypatch):
+    """The per-class statistics take one pass after the search, not one
+    per level: one call of the workers per census, over at most ``jobs``
+    slices of the classes in size order, and ``count_dclasses`` runs once
+    per slice.  On I_3 at one job that is one slice for all 2963 classes;
+    with two jobs, two slices, and the classes are the same."""
     _, maps, stats = _serial_workers(monkeypatch)
     calls, count_dclasses = [], Backend.count_dclasses
 
@@ -437,22 +459,20 @@ def test_census_counts_the_statistics_in_one_pass(monkeypatch, budget):
         return count_dclasses(self, masks)
 
     monkeypatch.setattr(Backend, "count_dclasses", counted)
-    if budget is not None:
-        monkeypatch.setattr(census, "_STATS_BYTES", budget)
     S = monoid("I", 3)
-    classes, raw = census_up_to_conjugacy(S)
-    assert (len(classes), raw) == (2963, 16143)
-    assert len(maps) == 11
-    slices = [part for call in stats for part in call]
-    assert all(len(call) == 1 for call in stats)
-    assert calls == [len(part) for part in slices] and sum(calls) == len(classes)
-    assert (len(slices) == 1) == (budget is None)
-    sizes = [bin(mask).count("1") for part in slices for mask in unpack_masks(part)]
-    assert sizes == sorted(r.size for r in classes)
-    stats.clear()
-    monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
-    assert census_up_to_conjugacy(S, jobs=2) == (classes, raw)
-    assert all(1 <= len(call) <= 2 for call in stats) and len(stats[0]) == 2
+    results = []
+    for jobs in (1, 2):
+        monkeypatch.setattr(census, "_usable_cpus", lambda: jobs)
+        del maps[:], stats[:], calls[:]
+        results.append(census_up_to_conjugacy(S, jobs=jobs))
+        classes, raw = results[-1]
+        assert (len(classes), raw) == (2963, 16143)
+        assert len(maps) == 11
+        assert len(stats) == 1 and len(stats[0]) == jobs
+        assert calls == [len(part) for part in stats[0]] and sum(calls) == len(classes)
+        sizes = [bin(mask).count("1") for part in stats[0] for mask in unpack_masks(part)]
+        assert sizes == sorted(r.size for r in classes)
+    assert results[0] == results[1]
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch):
@@ -492,7 +512,8 @@ def test_gather_refuses_more_slices_than_processes():
     """Slices past one for this process and one for each worker would be
     dropped, so ``_gather`` refuses them before it runs any slice."""
     with pytest.raises(ValueError, match="^2 slices for 1 processes$"):
-        census._gather([], lambda part: pytest.fail("ran a slice"), [census._root(4)] * 2)
+        census._gather([], None, lambda ambient, part: pytest.fail("ran a slice"),
+                       [census._root(4)] * 2)
 
 
 def test_a_class_costs_ten_bytes_in_the_census_result():

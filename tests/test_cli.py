@@ -115,6 +115,19 @@ def test_census_raw_refuses_stats(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("family", ["T", "S"])
+def test_census_raw_refuses_more_than_one_job(capsys, monkeypatch, family):
+    """``--raw`` counts in one process, so ``--jobs`` over 1 is refused
+    before any work rather than silently dropped."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("census must refuse --raw --jobs 2 before any work")
+
+    monkeypatch.setattr(engine, "enumerate_family", refuse)
+    code, out, err = run_cli(capsys, "census", family, "2", "--raw", "--jobs", "2")
+    assert code == 2 and not out
+    assert err.startswith("error:") and "--raw" in err and "--jobs" in err
+
+
 def test_census_out_refuses_without_stats(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("census must refuse --out before any work")

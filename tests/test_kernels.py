@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,7 +155,8 @@ def test_lookup_table_at_the_census_bound_is_8_mib():
     ambient the census admits needs a bound on the table of its own."""
     n = census.CENSUS_MAX_ELEMENTS
     assert n == 128
-    assert kernels_module._lookup_table(_capped_sum(n)).nbytes == 1 << 23
+    single = kernels_module._words(np.eye(n, dtype=bool))
+    assert kernels_module._lookup_table(_capped_sum(n), single).nbytes == 1 << 23
 
 
 def test_fold_table_at_the_census_bound_is_under_1_mib():
@@ -163,7 +165,8 @@ def test_fold_table_at_the_census_bound_is_under_1_mib():
     Tables on byte chunks would take 7 MiB."""
     perms = symmetry_group(monoid("S", 5)).index_perms
     assert perms.shape == (120, 120)
-    assert kernels_module._fold_table(perms, 120).nbytes == 30 * 16 * 120 * 2 * 8 <= 1 << 20
+    single = kernels_module._words(np.eye(120, dtype=bool))
+    assert kernels_module._fold_table(perms, single).nbytes == 30 * 16 * 120 * 2 * 8 <= 1 << 20
 
 
 def test_min_image_and_dclasses_wider_than_64():
@@ -248,6 +251,33 @@ def test_batches_around_one_chunk(monkeypatch, kernel):
         masks = pairs[:size]
         assert run(masks) == oracle(masks)
         assert lengths == [chunk] * (size // chunk) + [size % chunk] * (size % chunk > 0)
+
+
+@pytest.mark.parametrize("family,n", [("I", 3), ("TL", 5)])
+def test_dclass_chunks_hold_about_the_chunk_budget(monkeypatch, family, n):
+    """Over every class of the census, each chunk of ``count_dclasses``,
+    the unpacking of its masks included, peaks at no more than 1.25 times
+    ``_CHUNK_BYTES`` of temporaries (by tracemalloc)."""
+    S = monoid(family, n)
+    classes = census.census_up_to_conjugacy(S)[0].rows
+    kernels = _kernels(S.multiplication_table())
+    peaks, dclasses_of_size = [], Backend._dclasses_of_size
+
+    def measured(self, masks, s):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        counts = dclasses_of_size(self, masks, s)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return counts
+
+    monkeypatch.setattr(Backend, "_dclasses_of_size", measured)
+    tracemalloc.start()
+    try:
+        counts = kernels.count_dclasses(classes["mask"])
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(counts, classes["d_classes"])
+    assert len(peaks) > 1 and max(peaks) <= 1.25 * kernels_module._CHUNK_BYTES
 
 
 def test_count_idempotents_against_the_diagonal():
