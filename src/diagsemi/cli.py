@@ -11,13 +11,11 @@ Families: PB B PT T I S P IS Br TL (see README for the notation map).
 Every command compares the closed-form size of its work with a bound
 before it builds generators or enumerates anything: ``census`` the order
 with the census bound of 128 elements, ``order`` and ``green`` with the
-enumeration bound of 250,000 elements.  ``fern`` never enumerates TL_n
-nor builds a diagram object, so two bounds cover all of its work:
-FERN_MAX_CELLS (2^24 cells) its bitmap and FERN_MAX_POINT_PRODUCTS
-(2^22) its one half-diagram orbit, in point-products (the entries of
-the orbit's action arrays: halves times hooks times the degree n).
-``order`` then skips its enumeration; ``census``, ``green`` and
-``fern`` exit 2, as they do when an output file cannot be written.
+enumeration bound of 250,000 elements, and ``fern`` its bitmap and its
+half-diagram orbit with the bounds of ``halves.tl_fern``, which never
+enumerates TL_n nor builds a diagram object.  ``order`` then skips its
+enumeration; ``census``, ``green`` and ``fern`` exit 2, as they do when
+an output file cannot be written.
 
 Exit status is 0 only when every verification the command performs
 reports MATCH.
@@ -28,21 +26,9 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import catalog, census as census_mod, engine, kernels
+from . import catalog, census as census_mod, engine, halves
 from .elements import FAMILY_CODES, FAMILY_NAMES
-from .formulas import ballot, binomial, decimal_string, family_order
-
-# the largest fern bitmap, in cells: 16 MiB of mask
-FERN_MAX_CELLS = 1 << 24
-# the largest half-diagram orbit, in entries of its action arrays (halves
-# times hooks times the degree n): admits fern 16 7 (2,745,600) and fern
-# 2048 0 (4,192,256, 0.02 s on a 2-core Xeon host), a few seconds at most
-FERN_MAX_POINT_PRODUCTS = 1 << 22
-# peak bytes of the check's temporaries per cell and degree, as measured
-# on TL_10 and TL_14 (17-23)
-_CHECK_CELL_BYTES = 24
+from .formulas import decimal_string, family_order
 
 
 def _positive_int(text):
@@ -163,47 +149,14 @@ def cmd_green(args):
     return 0
 
 
-def _check_fern(n, k):
-    """Refuse ``fern n k`` before any work when its bitmap or its
-    half-diagram orbit is over its bound: ballot(n, k)^2 cells, and the
-    entries of the orbit's action arrays, C(n, k) halves of rank at least
-    n - 2k times n - 1 hooks times n points."""
-    what = f"TL_{n} D[{k}]"
-    census_mod.check_bound(ballot(n, k) ** 2, FERN_MAX_CELLS, "fern cell",
-                           what=what, unit="cells")
-    census_mod.check_bound(binomial(n, k) * (n - 1) * n, FERN_MAX_POINT_PRODUCTS,
-                           "orbit", what=f"each half-diagram orbit of {what}",
-                           unit="point-products")
-
-
-def _idempotent_cells(rows, cols):
-    """Whether x*x == x for the diagram x of every cell: the check of the
-    fern, which multiplies the diagrams and reads no code of the mask."""
-    n = rows.shape[1]
-    mask = np.empty((len(rows), len(cols)), dtype=bool)
-    step = kernels._CHUNK_BYTES // (len(cols) * n * _CHECK_CELL_BYTES)
-    for part in kernels._spans(len(rows), step):
-        x = engine.tl_cell_diagrams(rows[part], cols)
-        mask[part] = (engine.tl_products(x, x) == x).all(axis=1).reshape(-1, len(cols))
-    return mask
-
-
 def cmd_fern(args):
-    if args.n < 1:  # before the index, which no such degree has
-        raise catalog.UnsupportedFamilyDegree("degree must be >= 1")
-    if not 0 <= args.dclass <= args.n // 2:
-        print(f"TL_{args.n} has no D-class index {args.dclass}", file=sys.stderr)
-        return 2
-    _check_fern(args.n, args.dclass)
-    rows, cols, mask = engine.tl_fern(args.n, args.dclass)
+    rows, cols, mask = halves.tl_fern(args.n, args.dclass)
     engine.write_pgm(args.out, mask, _config_line(args))
-    black = int(mask.sum())
-
-    brute_mask = _idempotent_cells(rows, cols)
-    brute = int(brute_mask.sum())
-    verdict = "MATCH" if np.array_equal(brute_mask, mask) else "MISMATCH"
+    brute_mask = halves.idempotent_cells(rows, cols)
+    verdict = "MATCH" if (brute_mask == mask).all() else "MISMATCH"
     print(f"TL_{args.n} D[{args.dclass}]: {len(rows)}x{len(cols)} bitmap, "
-          f"{black} idempotent cells (brute-force {brute}, {verdict})")
+          f"{int(mask.sum())} idempotent cells "
+          f"(brute-force {int(brute_mask.sum())}, {verdict})")
     print(f"wrote {args.out}")
     return 0 if verdict == "MATCH" else 1
 

@@ -51,7 +51,8 @@ a few.
 
 Every kernel works in chunks of about ``_CHUNK_BYTES`` of temporaries,
 cut by ``_spans`` into slices of consecutive items of about equal weight,
-as the census cuts each level of its search into its job slices.
+as the census cuts each level of its search into its job slices; the TL
+fern's mask and its check in ``halves`` share that chunk size.
 A ``Backend`` holds the tables of one ambient (the lookup table, the
 multiplication table and the fold table of its symmetry group), all
 built once by its constructor.  ``census`` builds one per
@@ -64,7 +65,8 @@ import numpy as np
 numba = None
 
 # Bytes of temporaries that a batched kernel, or the TL fern's mask and its
-# check, holds per chunk; more makes no fern faster but raises its peak RSS.
+# check in ``halves``, holds per chunk; more makes no fern faster but
+# raises its peak RSS.
 _CHUNK_BYTES = 1 << 18
 _TOP = np.uint64(np.iinfo(np.uint64).max)
 

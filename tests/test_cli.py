@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from diagsemi import catalog, census, cli, engine, kernels
+from diagsemi import catalog, census, cli, engine, halves, kernels
 from diagsemi.cli import main
 from diagsemi.elements import Bipartition
 from diagsemi.kernels import Backend
@@ -289,14 +289,14 @@ def test_fern_past_tl12(tmp_path, capsys, n, k, side, cells, digest):
 
 
 def test_fern_check_catches_a_wrong_cell(tmp_path, capsys, monkeypatch):
-    tl_fern = engine.tl_fern
+    tl_fern = halves.tl_fern
 
     def flipped(*args):
         rows, cols, mask = tl_fern(*args)
         mask[3, 5] = not mask[3, 5]
         return rows, cols, mask
 
-    monkeypatch.setattr(engine, "tl_fern", flipped)
+    monkeypatch.setattr(halves, "tl_fern", flipped)
     code, out, _ = run_cli(capsys, "fern", 8, 2, "--out", tmp_path / "fern.pgm")
     assert code == 1
     assert "MISMATCH" in out
@@ -332,9 +332,9 @@ def test_green_tl12_stretch(capsys):
 
 
 def test_fern_bad_dclass(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "fern", "4", "9", "--out", tmp_path / "x.pgm")
-    assert code == 2
-    assert "no D-class" in err
+    code, out, err = run_cli(capsys, "fern", "4", "9", "--out", tmp_path / "x.pgm")
+    assert (code, out, err) == (2, "", "error: TL_4 has no D-class index 9\n")
+    assert not (tmp_path / "x.pgm").exists()
 
 
 @pytest.mark.parametrize("n", [0, -2])

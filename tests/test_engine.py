@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from diagsemi import engine as engine_module
+from diagsemi import halves as halves_module
 from diagsemi.catalog import hook, standard_generators
+from diagsemi.census import FeasibilityError
 from diagsemi.elements import PBR, Bipartition, MapElement
 from diagsemi.engine import (
     LimitExceeded,
     ReesElement,
     ReesZero,
-    _least_halves,
     _scc,
     enumerate_family,
     enumerate_semigroup,
@@ -22,11 +23,9 @@ from diagsemi.engine import (
     is_ideal,
     principal_ideals,
     rees_quotient,
-    tl_cell_diagrams,
-    tl_fern,
-    tl_products,
 )
 from diagsemi.formulas import ballot
+from diagsemi.halves import _least_halves, tl_cell_diagrams, tl_fern, tl_products
 
 from .conftest import monoid
 from .oracles import (
@@ -254,6 +253,27 @@ def test_tl_fern_refuses_a_degree_below_one(n):
         tl_fern(n, 0)
 
 
+@pytest.mark.parametrize("args,error,message", [
+    ((0, 0), ValueError, "degree must be >= 1"),
+    ((4, 9), ValueError, "TL_4 has no D-class index 9"),
+    ((18, 8), FeasibilityError,
+     "TL_18 D[8] has 142420356 cells, over the fern cell bound of 16777216"),
+    ((500, 1), FeasibilityError, "each half-diagram orbit of TL_500 D[1] has "
+     "124750000 point-products, over the orbit bound of 4194304"),
+    ((1000, 1), FeasibilityError, "each half-diagram orbit of TL_1000 D[1] has "
+     "999000000 point-products, over the orbit bound of 4194304"),
+])
+def test_tl_fern_refuses_before_any_orbit_work(monkeypatch, args, error, message):
+    """Every fern refusal is made by the library, before the orbit."""
+    def refused(*args):
+        raise AssertionError("the orbit was searched")
+
+    monkeypatch.setattr(halves_module, "_least_halves", refused)
+    with pytest.raises(error) as caught:
+        tl_fern(*args)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_least_halves_match_the_product_oracle(n):
     """The breadth-first ranking of the halves agrees with the one over
@@ -276,7 +296,7 @@ def test_least_halves_take_no_diagram_products(monkeypatch):
     def refused(x, y):
         raise AssertionError("tl_products called")
 
-    monkeypatch.setattr(engine_module, "tl_products", refused)
+    monkeypatch.setattr(halves_module, "tl_products", refused)
     rows, cols = _least_halves(range(9), 10, 2, ballot(10, 4))
     gens = standard_generators("TL", 10)
     assert (list(map(tuple, rows.tolist())), list(map(tuple, cols.tolist()))) == (
@@ -433,6 +453,12 @@ def test_ideals_of_t3_are_the_rank_ideals():
     assert [len(i) for i in ideals] == [3, 21, 27]
     for i in ideals:
         assert is_ideal(S, i)
+
+
+def test_ideals_of_refuses_more_than_its_bound(monkeypatch):
+    monkeypatch.setattr(engine_module, "IDEALS_MAX_COUNT", 2)
+    with pytest.raises(ValueError, match="too many ideals to list"):
+        ideals_of(monoid("T", 3))
 
 
 def test_rees_quotient_of_whole_semigroup_is_trivial():
