@@ -2,57 +2,61 @@
 
 Subsets are bitmasks over element indices.  The search is Close-by-One
 (S. O. Kuznetsov, 1993; compare B. Ganter's NextClosure, 1984): a state
-is a closed mask M plus the lowest index lo it may still adjoin.  The
-children of M are the closures C = <M, e> for e >= lo not in M that gain
-no element below e, and each child is expanded from e + 1.  The one
-parent of a nonempty closed C is <C ∩ [0, e)>, for the largest e in C
-outside the closure of C's elements below e, so every closed subset
-(the empty one included) is produced exactly once and no record of the
-sets already found is kept; a 2^N subset scan doubles as the
-completeness oracle in the tests.
+is a closed mask M plus the element e it was reached by, and it may
+still adjoin the elements above e.  The children of M are the closures
+C = <M, f> for f > e not in M that gain no element below f, each a state
+with e = f.  The one parent of a nonempty closed C is <C ∩ [0, e)>, for
+the largest e in C outside the closure of C's elements below e, so every
+closed subset (the empty one included) is produced exactly once and no
+record of the sets already found is kept; a 2^N subset scan doubles as
+the completeness oracle in the tests.
 
-The search runs one level of the tree at a time: ``extend_window``
-closes every candidate of a level together, over packed mask rows (see
-``kernels``).  Each level goes straight on to the fold to conjugacy
-classes, which maps every mask through the ambient symmetry group (the
-point permutations fixing the element set) and keeps the minimal image,
-where masks compare as plain integers with element i at bit i.  The
-states of a level share nothing, so each level is cut into at most
-``jobs`` slices of about equal weight.  The calling process folds and
-extends the first slice while ``jobs`` - 1 workers, forked once per
-census and each on its own pipe, take one of the others.  Every slice
-function takes the ambient, the kernels and their tables, as an
-argument, which the workers inherit at the fork.
+The search runs one level of the tree at a time, and a level, like each
+slice of it, is one state array of ``kernels`` records (state, e, mask),
+from the ``root`` state (the empty set, e = -1) down to the last level:
+``extend_window`` closes every candidate of a level together and returns
+the next.  This module reads no byte of a mask: the packed layout, the
+keys that sort as the masks do and the weight of a state (the bound on
+its candidates) are the ``kernels``' own.  Each level goes straight on
+to the fold to conjugacy classes, which maps every mask through the
+ambient symmetry group (the point permutations fixing the element set)
+and keeps the minimal image, where masks compare as plain integers with
+element i at bit i.  The states of a level share nothing, so each level
+is cut into at most ``jobs`` slices of about equal weight.  The calling
+process folds and extends the first slice while ``jobs`` - 1 workers,
+forked once per census and each on its own pipe, take one of the
+others.  Every slice function takes the ambient, the kernels and their
+tables, as an argument, which the workers inherit at the fork.
 
-A slice returns arrays, never an object per set: the masks of its sets
-that are their own minimal image, with their orbit sizes, and its
-distinct minimal images, as keys that compare as the masks do, with how
-many of its sets have each.  After each level the caller merges the
-images into one running ``np.unique`` table, so that it holds one entry
-for each class found so far.  After the search, the statistics of every
-class are counted in one pass: the classes in size order, cut as a level
-is into at most ``jobs`` slices of about equal weight (the sum of the
-squares of their sizes), go through the same processes in one call.
-The caller then checks every orbit against the image table and sorts the
-classes by their keys, which is mask order.  ``CensusClasses`` holds
-the result; the histograms are ``np.unique`` counts of its columns, and
-the JSONL writer, like iteration over ``CensusRecord``s, builds Python
-values a chunk of rows at a time.
+A slice returns arrays, never an object per set: the state array of its
+children, the masks of its sets that are their own minimal image, with
+their orbit sizes, and its distinct minimal images, as sorted keys, with
+how many of its sets have each.  After each level the caller merges
+those sorted runs into one running table of images by a stable sort, so
+that it holds one entry for each class found so far.  After the search,
+the statistics of every class are counted in one pass: the classes in
+size order, cut as a level is into at most ``jobs`` slices of about
+equal weight (the sum of the squares of their sizes), go through the
+same processes in one call.  The caller then checks every orbit against
+the image table and sorts the classes by their keys, which is mask
+order.  ``CensusClasses`` holds the result; the histograms are
+``np.unique`` counts of its columns, and the JSONL writer, like
+iteration over ``CensusRecord``s, builds Python values a chunk of rows
+at a time, the writer with one %-format a chunk.
 """
 
 import json
-import multiprocessing
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import permutations, starmap
+from itertools import chain, permutations, starmap
 
 import numpy as np
 
 from .elements import PointPermutation, conjugate
 from .engine import EnumeratedSemigroup
 from .formulas import decimal_string
-from .kernels import Backend, _spans, pack_masks, popcount, unpack_masks
+from .kernels import Backend, _spans, mask_field, mask_row, popcount, root, sort_keys, unpack_masks
 
 
 class FeasibilityError(RuntimeError):
@@ -134,21 +138,15 @@ def _units(table):
     return np.flatnonzero((table == 0).any(axis=1))
 
 
-def _root(n):
-    """The state of the whole search: the empty set, adjoining from 0."""
-    return pack_masks([0], n), np.zeros(1, np.intp)
-
-
 def all_subsemigroup_masks(S):
     """Every product-closed subset of S, as a sorted list of bitmasks,
     found one level of the search at a time."""
     check_census_bound(len(S))
     kernels = Backend(S.multiplication_table(), np.arange(len(S))[None])  # trivial group
-    found, (masks, lo) = [], _root(len(S))
-    while len(masks):
-        found += unpack_masks(masks)
-        children = kernels.extend_window(masks, lo)
-        masks, lo = children["mask"], children["e"] + 1
+    found, level = [], root(len(S))
+    while len(level):
+        found += unpack_masks(level["mask"])
+        level = kernels.extend_window(level)
     return sorted(found)
 
 
@@ -173,8 +171,9 @@ class CensusRecord:
 
 
 _STAT_FIELDS = CensusRecord.__slots__[1:]
-# rows turned into Python values at a time: bounds the objects alive at once
-_CHUNK_ROWS = 1 << 14
+# rows turned into Python values, and into JSONL lines, at a time: bounds
+# the objects and the string alive at once
+_CHUNK_ROWS = 1 << 9
 
 
 def class_dtype(n, group_order):
@@ -182,22 +181,9 @@ def class_dtype(n, group_order):
     group of ``group_order``: the packed mask of its representative, then
     the fields of its ``CensusRecord``, each as narrow as its bound."""
     count = np.min_scalar_type(n)  # a size, D-class or idempotent count is at most n
-    return np.dtype([("mask", np.uint8, ((n + 7) // 8,)),
-                     ("orbit_size", np.min_scalar_type(group_order)),
+    return np.dtype([mask_field(n), ("orbit_size", np.min_scalar_type(group_order)),
                      ("size", count), ("d_classes", count), ("idempotents", count),
                      ("has_nontrivial_perm", bool)])
-
-
-def _keys(masks):
-    """A key of each packed mask row that compares as the mask does as an
-    integer: the mask itself as a uint64 while it fits one, which sorts
-    several times faster, and else its big-endian byte string."""
-    rows, nb = masks.shape
-    if nb > 8:
-        return np.ascontiguousarray(masks[:, ::-1]).view(f"S{nb}").ravel()
-    words = np.zeros((rows, 8), np.uint8)
-    words[:, :nb] = masks
-    return words.view("<u8").ravel()
 
 
 class CensusClasses:
@@ -211,18 +197,19 @@ class CensusClasses:
         return len(self.rows)
 
     def __iter__(self):
-        return starmap(CensusRecord, _python_rows(self.rows))
+        return starmap(CensusRecord, chain.from_iterable(zip(*c) for c in _python_columns(self.rows)))
 
     def __eq__(self, other):
         return (isinstance(other, CensusClasses) and self.rows.dtype == other.rows.dtype
                 and self.rows.tobytes() == other.rows.tobytes())
 
 
-def _python_rows(rows):
-    """The fields of each of ``rows`` as Python values, the mask an int."""
+def _python_columns(rows):
+    """The fields of ``rows`` as lists of Python values, the masks ints, a
+    chunk of rows at a time."""
     for part in _spans(len(rows), _CHUNK_ROWS):
         chunk = rows[part]
-        yield from zip(unpack_masks(chunk["mask"]), *(chunk[f].tolist() for f in _STAT_FIELDS))
+        yield [unpack_masks(chunk["mask"]), *(chunk[f].tolist() for f in _STAT_FIELDS)]
 
 
 def _share(weights, jobs):
@@ -232,19 +219,18 @@ def _share(weights, jobs):
 
 
 def _census_level(ambient, states):
-    """The census of one slice ``states`` (masks, lo) of a level of the
-    search: the states of its children, the rows of the classes of its
-    sets that are their own minimal image, their statistics still zero,
-    and its distinct minimal images (``_keys``) with how many of its sets
-    have each."""
+    """The census of one slice ``states`` of a level of the search: the
+    state array of its children, the rows of the classes of its sets that
+    are their own minimal image, their statistics still zero, and its
+    distinct minimal images (``sort_keys``) with how many of its sets have
+    each."""
     kernels, _, dtype = ambient
-    masks, lo = states
+    masks = states["mask"]
     reps, orbits = kernels.min_image(masks)
     own = (masks == reps).all(axis=1)
     classes = np.zeros(np.count_nonzero(own), dtype)
     classes["mask"], classes["orbit_size"] = masks[own], orbits[own]
-    children = kernels.extend_window(masks, lo)
-    return (children["mask"], children["e"] + 1), classes, np.unique(_keys(reps), return_counts=True)
+    return kernels.extend_window(states), classes, np.unique(sort_keys(reps), return_counts=True)
 
 
 def _class_stats(ambient, masks):
@@ -301,7 +287,9 @@ def _workers(count, ambient):
     ``ambient`` as an argument of their ``Process``, so they inherit it
     and nothing of it is pickled; they are stopped and joined on exit, on
     success or failure alike."""
-    fork = multiprocessing.get_context("fork")
+    if count:  # imported here, not at the top: a census that forks nothing does without it
+        import multiprocessing
+        fork = multiprocessing.get_context("fork")
     pipes, procs = [], []
     try:
         for _ in range(count):
@@ -332,26 +320,21 @@ def census_up_to_conjugacy(S, G=None, jobs=1):
     if G is None:
         G = symmetry_group(S)
     n, table = len(S), S.multiplication_table()
-    perm_bits = np.zeros(n, bool)
-    perm_bits[_units(table)[1:]] = True
+    kernels = Backend(table, G.index_perms)
     # the kernels, the packed non-identity units and the class row, which
     # the forked workers inherit, so nothing of it is pickled
-    ambient = (Backend(table, G.index_perms), np.packbits(perm_bits, bitorder="little"),
-               class_dtype(n, len(G)))
+    ambient = kernels, mask_row(_units(table)[1:], n), class_dtype(n, len(G))
     jobs = min(jobs, _usable_cpus())
-    classes = []
-    # the distinct minimal images so far and how many sets have each
-    images, held = _keys(np.empty((0, (n + 7) // 8), np.uint8)), np.empty(0)
+    classes, level = [], root(n)
+    # the distinct minimal images so far, ascending, and how many sets have each
+    images, held = sort_keys(level["mask"][:0]), np.empty(0, np.intp)
     with _workers(jobs - 1, ambient) as run:
         # each level is the children of the slices of the one before, shared
-        # out by N - lo, the bound on a state's candidates
-        level = [_root(n)]
-        while sum(len(masks) for masks, _ in level):
-            masks, lo = map(np.concatenate, zip(*level))
-            level = []
-            slices = [(masks[s], lo[s]) for s in _share(n - lo, jobs)]
-            del masks, lo  # from here on the slices alone hold the level
-            keys, counts = [images], [held]
+        # out by the state weights
+        while len(level):
+            slices = [level[s] for s in _share(kernels.weights(level), jobs)]
+            del level  # from here on the slices alone hold the level
+            level, keys, counts = [], [images], [held]
             for kids, part, (part_keys, part_counts) in run(_census_level, slices):
                 level.append(kids)
                 classes.append(part)
@@ -359,9 +342,15 @@ def census_up_to_conjugacy(S, G=None, jobs=1):
                 counts.append(part_counts)
             # free the level before the next is built
             del slices, kids, part, part_keys, part_counts
-            images, where = np.unique(np.concatenate(keys), return_inverse=True)
-            held = np.bincount(where, np.concatenate(counts), len(images))
-            del keys, counts, where
+            # the table and the slices' images are sorted runs, which a
+            # stable sort merges
+            keys, counts = np.concatenate(keys), np.concatenate(counts)
+            order = np.argsort(keys, kind="stable")
+            keys, counts = keys[order], counts[order]
+            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            images, held = keys[starts], np.add.reduceat(counts, starts)
+            del keys, counts, order, starts
+            level = np.concatenate(level)
         # the statistics in one run over the classes in size order, shared
         # out by the sum of the squares of their sizes
         classes = np.concatenate(classes)
@@ -371,7 +360,7 @@ def census_up_to_conjugacy(S, G=None, jobs=1):
         for rows, stats in zip(slices, run(_class_stats, [classes["mask"][rows] for rows in slices])):
             for field, values in zip(_STAT_FIELDS[2:], stats):
                 classes[field][rows] = values
-    keys = _keys(classes["mask"])
+    keys = sort_keys(classes["mask"])
     order = np.argsort(keys)
     classes, keys = classes[order], keys[order]
 
@@ -398,7 +387,7 @@ def subgroup_census(S, G=None, jobs=1):
         raise ValueError("ambient is not a group")
     classes, _ = census_up_to_conjugacy(S, G=G, jobs=jobs)
     nonempty = classes.rows[classes.rows["size"] > 0]
-    if not (nonempty["mask"][:, 0] & 1).all():
+    if not (nonempty["mask"] & mask_row([0], len(S))).any(axis=1).all():
         raise AssertionError("subgroup without the ambient identity")
     return len(nonempty)
 
@@ -445,7 +434,8 @@ def write_joint_csv(path, joint, metric, config=""):
 
 
 # ``json.dumps(r.to_json())`` of a record, plus its newline, in one
-# %-format, which formats these ints about twice as fast as str.format
+# %-format, which formats these ints about twice as fast as str.format,
+# and a chunk of records in one % of the format repeated
 _JSONL_RECORD = ('{"representative_mask_hex": "%#x", "orbit_size": %d, "size": %d, '
                  '"d_classes": %d, "idempotents": %d, "has_nontrivial_perm": %s}\n')
 _JSON_BOOL = ("false", "true")
@@ -455,5 +445,6 @@ def write_records_jsonl(path, classes, config=None):
     with open(path, "w") as fh:
         if config is not None:
             fh.write(json.dumps({"config": config}) + "\n")
-        fh.writelines(_JSONL_RECORD % (mask, orbit, size, d, e, _JSON_BOOL[perm])
-                      for mask, orbit, size, d, e, perm in _python_rows(classes.rows))
+        for *columns, perm in _python_columns(classes.rows):
+            fields = chain.from_iterable(zip(*columns, map(_JSON_BOOL.__getitem__, perm)))
+            fh.write((_JSONL_RECORD * len(perm)) % tuple(fields))

@@ -2,18 +2,26 @@
 
 Subsets of an enumerated semigroup of N elements are packed mask rows:
 uint8 arrays of shape (R, ⌈N/8⌉), one row per subset, with element i at
-bit i & 7 of byte i >> 3.  The ambient multiplication is an int32 N x N
-table.  The census builds no Python int per set or per class from what
-the kernels return; only its JSONL writer and its records do
-(``unpack_masks``).
+bit i & 7 of byte i >> 3.  This module alone knows that layout: the
+census takes from it the mask field of its rows (``mask_field``), the
+packed mask of a set of elements (``mask_row``) and keys that sort as
+the masks do as integers (``sort_keys``).  The ambient multiplication is
+an int32 N x N table.  The census builds no Python int per set or per
+class from what the kernels return; only its JSONL writer and its
+records do (``unpack_masks``).
 
-``extend_window`` runs one level of the Close-by-One search of
-``census`` for a whole batch of states (M, lo) at once.  Its candidates
-are the pairs (state, e) with e >= lo and e not in M, and all of them
+A state of the Close-by-One search of ``census`` is a record (state, e,
+mask) of a state array: a closed set M, reached from state number
+``state`` of the level before by adjoining e, that may still adjoin the
+elements above e; ``root`` is the array of the one state of the whole
+search, with e = -1.  ``extend_window`` runs one level of the search for
+a whole state array at once and returns the next level as one.  Its
+candidates are the pairs (state, f) with f > e and f not in M, as many
+as a state's ``Backend.weights`` at most, and all of them
 close together by semi-naive rounds: with C the set so far and D the
-elements the last round added (at first {e}, as M is closed), a round
+elements the last round added (at first {f}, as M is closed), a round
 adds ``new = (D·C ∪ C·D) \\ C`` to every row.  A row is dropped in the
-first round whose ``new`` holds an element below its e, the canonicity
+first round whose ``new`` holds an element below its f, the canonicity
 test of Close-by-One, so the closures it drops cost little.  Each
 product is one gather through a byte lookup table: the rows of element x
 and byte chunk c (elements 8c .. 8c+7) are 256 packed masks, and row b
@@ -51,7 +59,8 @@ a few.
 
 Every kernel works in chunks of about ``_CHUNK_BYTES`` of temporaries,
 cut by ``_spans`` into slices of consecutive items of about equal weight,
-as the census cuts each level of its search into its job slices; the TL
+as the census cuts each level of its search into its job slices, both by
+the state weights; the TL
 fern's mask and its check in ``halves`` share that chunk size.
 A ``Backend`` holds the tables of one ambient (the lookup table, the
 multiplication table and the fold table of its symmetry group), all
@@ -69,6 +78,35 @@ numba = None
 # raises its peak RSS.
 _CHUNK_BYTES = 1 << 18
 _TOP = np.uint64(np.iinfo(np.uint64).max)
+
+
+def mask_field(n):
+    """The structured field of a packed mask over ``n`` elements."""
+    return "mask", np.uint8, ((n + 7) // 8,)
+
+
+def root(n):
+    """The state of the whole search over ``n`` elements, as a state array
+    of one record (state, e, mask): the empty set, as if reached by
+    adjoining element -1."""
+    return np.array([(-1, -1, 0)], [("state", np.intp), ("e", np.intp), mask_field(n)])
+
+
+def mask_row(elements, n):
+    """The packed mask of the set of element indices ``elements`` of ``n``."""
+    return np.packbits(np.isin(np.arange(n), elements), bitorder="little")
+
+
+def sort_keys(masks):
+    """A key of each packed mask row that compares as the mask does as an
+    integer: the mask itself as a uint64 while it fits one, which sorts
+    several times faster, and else its big-endian byte string."""
+    rows, nb = masks.shape
+    if nb > 8:
+        return np.ascontiguousarray(masks[:, ::-1]).view(f"S{nb}").ravel()
+    words = np.zeros((rows, 8), np.uint8)
+    words[:, :nb] = masks
+    return words.view("<u8").ravel()
 
 
 def pack_masks(masks, n):
@@ -165,8 +203,7 @@ class Backend:
         self._below = _words(np.tri(n + 1, n, -1, bool))  # row e: the elements below e
         # the temporaries of one candidate: its gathered lookup rows and their indices
         self._pair_bytes = nb * (self._lookup.itemsize * self._lookup.shape[1] + 8)
-        self._children = np.dtype([("state", np.intp), ("e", np.intp), ("mask", np.uint8, (nb,))])
-        self._idempotent = np.packbits(np.diagonal(table) == np.arange(n), bitorder="little")
+        self._idempotent = mask_row(np.flatnonzero(np.diagonal(table) == np.arange(n)), n)
         self._order = len(perms)
         self._words = (n + 63) // 64
         self._fold = _fold_table(perms, self._single)
@@ -179,26 +216,28 @@ class Backend:
         """The (R, 8·⌈N/8⌉) bool array of packed ``masks``, element i in column i."""
         return np.unpackbits(masks, axis=1, bitorder="little").view(bool)
 
-    def extend_window(self, masks, lo):
-        """The canonical children of the states (masks[k], lo[k]), as one
-        record array of (state k, e, closure of masks[k] + e), for each
-        e >= lo[k] not in masks[k] whose closure gains no element below e."""
-        n = self._n
-        if not len(masks):
-            return np.empty(0, self._children)
-        out = []
-        # n - lo bounds the candidates of a state
-        for part in _spans(n - lo, _CHUNK_BYTES // self._pair_bytes):
-            free = ~self._bits(masks[part])[:, :n] & (np.arange(n) >= lo[part, None])
+    def weights(self, states):
+        """The weight of each state: the number of elements above its e,
+        which bounds its candidates."""
+        return self._n - 1 - states["e"]
+
+    def extend_window(self, states):
+        """The canonical children of the state array ``states`` as a state
+        array: for each state k and each element f above its e and not in
+        its mask whose closure with the mask gains no element below f, the
+        record (k, f, that closure)."""
+        n, out = self._n, [states[:0]]
+        for part in _spans(self.weights(states), _CHUNK_BYTES // self._pair_bytes):
+            free = ~self._bits(states["mask"][part])[:, :n] & (np.arange(n) > states["e"][part, None])
             state, e = np.nonzero(free)
-            out.append(self._close(masks, state + part.start, e))
+            out.append(self._close(states, state + part.start, e))
         return np.concatenate(out)
 
-    def _close(self, masks, state, e):
-        """The children records of the candidates (state, e)."""
+    def _close(self, states, state, e):
+        """The children records of the candidates (state, e) of ``states``."""
         nb = self._bytes
         c = np.zeros((len(e), self._single.shape[1]), np.uint64)
-        c.view(np.uint8)[:, :nb] = masks[state]
+        c.view(np.uint8)[:, :nb] = states["mask"][state]
         c |= self._single[e]
         # the candidates still closing, and the pairs (row of c, x in its D)
         live = rows = np.arange(len(e))
@@ -215,7 +254,7 @@ class Backend:
             live, c, new = live[more], c[more] | new[more], new[more]
             rows, xs = np.nonzero(self._bits(new.view(np.uint8)))
         kept = np.concatenate(kept)
-        out = np.empty(len(kept), self._children)
+        out = np.empty(len(kept), states.dtype)
         out["state"], out["e"] = state[kept], e[kept]
         out["mask"] = np.concatenate(closed).view(np.uint8)[:, :nb]
         return out

@@ -26,7 +26,7 @@ from diagsemi.elements import MapElement
 from diagsemi.embeddings import embed
 from diagsemi.engine import enumerate_semigroup
 from diagsemi.formulas import family_order
-from diagsemi.kernels import Backend, _lookup_table, pack_masks, unpack_masks
+from diagsemi.kernels import Backend, _lookup_table, pack_masks, root, unpack_masks
 
 from .conftest import monoid
 from .oracles import brute_closed_subsets, is_closed
@@ -246,14 +246,13 @@ def test_census_refuses_an_incomplete_search(monkeypatch):
     n = len(S)
     G = symmetry_group(S)
     kernels = Backend(S.multiplication_table(), G.index_perms)
-    leaves = []
-    masks, lo = pack_masks([0], n), np.zeros(1, np.intp)
-    while len(masks):
-        children = kernels.extend_window(masks, lo)
-        parents = np.zeros(len(masks), bool)
+    leaves, level = [], root(n)
+    while len(level):
+        children = kernels.extend_window(level)
+        parents = np.zeros(len(level), bool)
         parents[children["state"]] = True
-        leaves += unpack_masks(masks[~parents])
-        masks, lo = children["mask"], children["e"] + 1
+        leaves += unpack_masks(level["mask"][~parents])
+        level = children
     reps, orbits = kernels.min_image(pack_masks(leaves, n))
     images = dict(zip(leaves, zip(unpack_masks(reps), orbits.tolist())))
     not_minimal = next(c for c in leaves if images[c][0] != c)
@@ -264,8 +263,8 @@ def test_census_refuses_an_incomplete_search(monkeypatch):
         """extend_window without the one child row ``dropped``."""
         row = pack_masks([dropped], n)
 
-        def extend_window(self, masks, lo):
-            children = extend(self, masks, lo)
+        def extend_window(self, states):
+            children = extend(self, states)
             return children[~(children["mask"] == row).all(axis=1)]
         return extend_window
 
@@ -432,17 +431,15 @@ def test_census_maps_each_level_in_at_most_jobs_slices(monkeypatch):
     assert census_up_to_conjugacy(S, jobs=2) == expected
     kernels = Backend(S.multiplication_table(), np.arange(len(S))[None])
     assert len(maps) == 11 and len(maps[0][0]) == 1
-    states = level = census._root(len(S))
+    states = level = root(len(S))
     for slices, children in maps:
-        assert 1 <= len(slices) <= 2 and all(len(masks) for masks, _ in slices)
-        masks, lo = map(np.concatenate, zip(*slices))
-        assert np.array_equal(masks, states[0]) and np.array_equal(lo, states[1])
+        assert 1 <= len(slices) <= 2 and all(len(part) for part in slices)
+        assert np.array_equal(np.concatenate(slices), states)
         # the level of the search as one batch, in another order
-        assert sorted(unpack_masks(masks)) == sorted(unpack_masks(level[0]))
-        states = tuple(map(np.concatenate, zip(*children)))
-        whole = kernels.extend_window(*level)
-        level = whole["mask"], whole["e"] + 1
-    assert not len(states[0]) and not len(level[0])
+        assert sorted(unpack_masks(states["mask"])) == sorted(unpack_masks(level["mask"]))
+        states = np.concatenate(children)
+        level = kernels.extend_window(level)
+    assert not len(states) and not len(level)
 
 
 def test_census_counts_the_statistics_in_one_pass(monkeypatch):
@@ -513,7 +510,7 @@ def test_gather_refuses_more_slices_than_processes():
     dropped, so ``_gather`` refuses them before it runs any slice."""
     with pytest.raises(ValueError, match="^2 slices for 1 processes$"):
         census._gather([], None, lambda ambient, part: pytest.fail("ran a slice"),
-                       [census._root(4)] * 2)
+                       [root(4)] * 2)
 
 
 def test_a_class_costs_ten_bytes_in_the_census_result():

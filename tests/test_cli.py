@@ -487,3 +487,15 @@ def test_console_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "MATCH" in proc.stdout
+
+
+def test_a_census_in_one_process_loads_no_multiprocessing(tmp_path):
+    """A census at ``--jobs 1`` forks no worker, so it loads neither
+    ``multiprocessing`` nor the ``socket`` module of its pipes."""
+    script = ("import sys; from diagsemi.cli import main; "
+              f"code = main(['census', 'T', '3', '--stats', '--jobs', '1', '--out', {str(tmp_path)!r}]); "
+              "print(code, *sorted({'multiprocessing', 'socket'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "up to conjugacy: 283" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0"

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from diagsemi import census
 from diagsemi.census import (
     CensusClasses,
     CensusRecord,
@@ -124,10 +125,12 @@ def test_census_csv_and_jsonl(tmp_path):
         assert int(row["representative_mask_hex"], 16).bit_count() == row["size"]
 
 
-def test_jsonl_record_lines_match_json_dumps(tmp_path):
+def test_jsonl_record_lines_match_json_dumps(tmp_path, monkeypatch):
     """Each class line is ``json.dumps`` of its record's ``to_json``, byte
     for byte: the empty set's mask 0, masks wider than 64 bits, and both
-    values of ``has_nontrivial_perm``.  Iteration gives the records back."""
+    values of ``has_nontrivial_perm``.  Iteration gives the records back.
+    So it is in one chunk of rows, and in chunks of two rows: the 25
+    records in 13 chunks, the last of one row."""
     classes, _ = census_up_to_conjugacy(monoid("I", 2))
     records = list(classes) + [CensusRecord(1 << 104 | 1, 24, 2, 2, 1, False),
                                CensusRecord((1 << 105) - 1, 1, 105, 17, 40, True)]
@@ -138,9 +141,11 @@ def test_jsonl_record_lines_match_json_dumps(tmp_path):
     for field in ("orbit_size", "size", "d_classes", "idempotents", "has_nontrivial_perm"):
         rows[field] = [getattr(r, field) for r in records]
     wide = CensusClasses(rows)
-    assert list(wide) == records
     path = tmp_path / "records.jsonl"
     config = {"family": "I", "n": 2}
-    write_records_jsonl(path, wide, config)
     expected = [json.dumps({"config": config})] + [json.dumps(r.to_json()) for r in records]
-    assert path.read_text() == "".join(line + "\n" for line in expected)
+    for chunk_rows in (census._CHUNK_ROWS, 2):
+        monkeypatch.setattr(census, "_CHUNK_ROWS", chunk_rows)
+        assert list(wide) == records
+        write_records_jsonl(path, wide, config)
+        assert path.read_text() == "".join(line + "\n" for line in expected)

@@ -18,9 +18,18 @@ def _kernels(table, perms=None):
     return Backend(table, np.arange(len(table))[None] if perms is None else perms)
 
 
+def _states(n, pairs):
+    """The state array of the (int mask, lo) ``pairs`` over ``n`` elements:
+    a state that may adjoin the elements from lo up has e = lo - 1."""
+    states = np.zeros(len(pairs), kernels_module.root(n).dtype)
+    states["mask"] = pack_masks([mask for mask, _ in pairs], n)
+    states["e"] = [lo - 1 for _, lo in pairs]
+    return states
+
+
 def _children(kernels, n, mask, lo):
     """The children of the one state (mask, lo), as a dict e -> closure."""
-    out = kernels.extend_window(pack_masks([mask], n), np.array([lo]))
+    out = kernels.extend_window(_states(n, [(mask, lo)]))
     return dict(zip(out["e"].tolist(), unpack_masks(out["mask"])))
 
 
@@ -101,27 +110,26 @@ def _random_magma(n, seed):
     return np.random.default_rng(seed).integers(0, n, (n, n), dtype=np.int32)
 
 
-def _check_search_against_the_oracle(table, states=None):
+def _check_search_against_the_oracle(table, pairs=None):
     """The batched search, state by state, against the python closure: the
     children of every state, as sets of (e, closed), and no child twice.
-    From the root, every level of the tree; from ``states`` (pairs of an
-    int mask and lo), their children only."""
+    From the root, every level of the tree; from ``pairs`` (of an int mask
+    and lo), their children only."""
     n = len(table)
     kernels, oracle = _kernels(table), NibbleClosure(table)
-    masks = pack_masks([0] if states is None else [m for m, _ in states], n)
-    lo = np.array([0] if states is None else [lo for _, lo in states])
-    while len(masks):
-        children = kernels.extend_window(masks, lo)
-        got = [set() for _ in range(len(masks))]
+    states = kernels_module.root(n) if pairs is None else _states(n, pairs)
+    while len(states):
+        children = kernels.extend_window(states)
+        got = [set() for _ in range(len(states))]
         for k, e, closed in zip(children["state"].tolist(), children["e"].tolist(),
                                 unpack_masks(children["mask"])):
             got[k].add((e, closed))
         assert sum(map(len, got)) == len(children)
-        assert got == [set(oracle.extend_window(mask, start))
-                       for mask, start in zip(unpack_masks(masks), lo.tolist())]
-        if states is not None:
+        assert got == [set(oracle.extend_window(mask, e + 1))
+                       for mask, e in zip(unpack_masks(states["mask"]), states["e"].tolist())]
+        if pairs is not None:
             break
-        masks, lo = children["mask"], children["e"] + 1
+        states = children
 
 
 @pytest.mark.parametrize("family,n", [(f, n) for f, n, _ in TABLE3 if family_order(f, n) <= 42])
@@ -148,6 +156,25 @@ def test_search_against_the_python_closure_wider_than_64():
     states = [(0, 0), (0, 40), (1 << 35 | top, 60)]
     states += [(m, e + 1) for e, m in singles] + [(m, 0) for _, m in singles[::5]]
     _check_search_against_the_oracle(table, states)
+
+
+@pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 128])
+def test_sort_keys_order_as_the_int_masks(n):
+    """The sort keys of packed masks order as the masks do as integers,
+    uint64 words up to 64 elements and big-endian bytes past them, and
+    equal masks have equal keys; the keys of a mask field of a state array
+    are those of its rows."""
+    rng = random.Random(n)
+    masks = [0, 1, 1 << (n - 1), (1 << n) - 1] + [rng.getrandbits(n) for _ in range(200)]
+    # masks tied on every byte but the lowest, and repeated masks
+    masks += [masks[-1] ^ rng.getrandbits(min(n, 8)) for _ in range(20)] + masks[:30]
+    packed = pack_masks(masks, n)
+    keys = kernels_module.sort_keys(packed)
+    assert keys.dtype.kind == ("u" if n <= 64 else "S")
+    assert [masks[i] for i in np.argsort(keys, kind="stable")] == sorted(masks)
+    assert len(np.unique(keys)) == len(set(masks))
+    states = _states(n, [(mask, 0) for mask in masks])
+    assert np.array_equal(kernels_module.sort_keys(states["mask"]), keys)
 
 
 def test_lookup_table_at_the_census_bound_is_8_mib():
