@@ -44,28 +44,29 @@ word, and the orbit size is |G| / #{g : gM = M}, so the permutations
 must form a group.  The table takes 16·⌈N/4⌉·|G|·8⌈N/64⌉ bytes: 7 KiB
 for I_3 and 0.9 MiB for S_5.
 
-The per-class statistics unpack the masks to a bool array of one row per
-mask.  ``count_dclasses`` takes the masks of one size s together: it
-gathers the s x s products of each subsemigroup T from the table, marks
-the successors {x} ∪ xT ∪ Tx of every member x, and one stacked boolean
-square of those s x s matrices gives every principal ideal.  A member
-starts a new D-class when no lower member has the same ideal.  A mask
-costs it, by tracemalloc, about 16 bytes an entry of its s x s arrays
-(the successors, the member numbers of the products and the scatter
-index, int32 so that numpy's cast to intp is all it adds) and 40 bytes
-a byte of the packed mask; its chunks are cut by that cost.  The census
-hands it its classes in size order, so each size falls in one slice or
-a few.
+``count_dclasses`` takes the masks of one size s together and reads the
+successors {x} ∪ xT ∪ Tx of every member x of each subsemigroup T off
+the search's lookup table: xT ∪ Tx is the OR of the ⌈N/8⌉ rows picked
+by x and the bytes of T, the gather of a closure round.  Unpacking
+those words at the members of T gives an s x s 0/1 matrix, with no
+product read from a table and no scatter, and one stacked float32
+square of those matrices gives every principal ideal.  A member starts
+a new D-class when no lower member has the same ideal.  A mask costs it,
+by tracemalloc, the greater of its two phases, 8·s·⌈N/8⌉·(⌈N/64⌉ + 2)
+bytes for the gathered rows and their indices and 9·s² for the squares,
+plus 40 bytes a byte of the packed mask (``Backend._dclass_bytes``);
+its chunks are cut by that cost.  The census hands it its classes in
+size order, so each size falls in one slice or a few.
 
 Every kernel works in chunks of about ``_CHUNK_BYTES`` of temporaries,
 cut by ``_spans`` into slices of consecutive items of about equal weight,
 as the census cuts each level of its search into its job slices, both by
-the state weights; the TL
-fern's mask and its check in ``halves`` share that chunk size.
-A ``Backend`` holds the tables of one ambient (the lookup table, the
-multiplication table and the fold table of its symmetry group), all
-built once by its constructor.  ``census`` builds one per
-call, before any fork, so the ``--jobs`` workers inherit them.
+the state weights; the TL fern's mask and its check in ``halves`` share
+that chunk size.  A ``Backend`` holds the tables of one ambient (the
+lookup table of its products and the fold table of its symmetry group),
+both built once by its constructor; no kernel reads the multiplication
+table.  ``census`` builds one per call, before any fork, so the
+``--jobs`` workers inherit them.
 """
 
 import numpy as np
@@ -177,11 +178,11 @@ def _spans(weights, step):
     ``step`` each (one item at least), where a number ``weights`` is that
     many items of weight one; none for no items."""
     step = max(1, step)
-    scalar = np.isscalar(weights)
-    count = weights if scalar else len(weights)
-    if count and (weights if scalar else weights.sum()) <= step:
-        return [slice(0, count)]  # one slice, without the cuts
-    ends = np.arange(1, weights + 1) if scalar else np.cumsum(weights)
+    if np.isscalar(weights):
+        return [slice(a, min(a + step, weights)) for a in range(0, weights, step)]
+    if len(weights) and weights.sum() <= step:
+        return [slice(0, len(weights))]  # one slice, without the cuts
+    ends = np.cumsum(weights)
     cuts = np.searchsorted(ends, np.arange(step, ends[-1] if len(ends) else 0, step),
                            side="right")
     bounds = sorted({0, len(ends), *cuts.tolist()})
@@ -195,7 +196,6 @@ class Backend:
     def __init__(self, table, perms):
         self._n = n = len(table)
         self._bytes = nb = (n + 7) // 8
-        self._table = table
         self._single = _words(np.eye(n, dtype=bool))
         self._lookup = _lookup_table(table, self._single)
         # the first lookup row of each element and chunk
@@ -318,30 +318,41 @@ class Backend:
         counts = np.zeros(len(masks), int)
         for s in set(sizes.tolist()) - {0}:
             rows = np.flatnonzero(sizes == s)
-            cost = 16 * s * s + 24 * s + 40 * self._bytes  # a mask's, as measured
-            for part in _spans(len(rows), _CHUNK_BYTES // cost):
+            for part in _spans(len(rows), _CHUNK_BYTES // self._dclass_bytes(s)):
                 counts[rows[part]] = self._dclasses_of_size(masks[rows[part]], s)
         return counts
 
+    def _dclass_bytes(self, s):
+        """The peak bytes of temporaries of ``_dclasses_of_size`` a mask of
+        size s, as measured by tracemalloc: the greater of its two phases,
+        the gathered lookup rows with their indices and the s x s squares,
+        plus 40 bytes a byte of the mask for its bits and byte indices."""
+        nb = self._bytes
+        return max(8 * s * nb * (self._words + 2), 9 * s * s) + 40 * nb
+
     def _dclasses_of_size(self, masks, s):
         """``count_dclasses`` of the packed ``masks``, all of size s."""
+        r, nb = masks.shape
         bits = self._bits(masks)
-        r, n = bits.shape
-        members = np.nonzero(bits)[1].reshape(r, s)  # ascending in each row
-        # the member number of each element of each mask, flat over the rows
-        local = np.cumsum(bits, axis=1, dtype=np.int32).ravel() - 1
-        products = self._table[members[:, :, None], members[:, None, :]]
-        ab = local[products + (n * np.arange(r, dtype=np.int32))[:, None, None]]
-        del bits, members, local, products  # not held through the scatter
-        # succ[t, a, b]: member b is in {a} ∪ aT ∪ Ta, set at flat index
-        # t·s² + a·s + b; a block's diagonal is every (s+1)th of its s² entries
-        succ = np.zeros((r, s, s), np.float32)
-        flat, rows = succ.reshape(-1), (s * np.arange(r * s, dtype=np.int32)).reshape(r, s, 1)
-        flat[rows + ab] = 1
-        flat[rows + ab.transpose(0, 2, 1)] = 1
+        members = np.flatnonzero(bits).reshape(r, s)  # ascending in each row
+        members -= 8 * nb * np.arange(r)[:, None]
+        # aT ∪ Ta for each member a of each mask T, in packed words: the OR
+        # of the ⌈N/8⌉ lookup rows picked by a and the bytes of T, gathered
+        # chunk by chunk so that the OR runs over whole arrays
+        index = (256 * nb) * members + (256 * np.arange(nb)[:, None] + masks.T)[:, :, None]
+        words = np.take(self._lookup, index.ravel(), axis=0).reshape(nb, r * s, -1)
+        del members, index  # the gather's temporaries, not held through the squares
+        words = np.bitwise_or.reduce(words, axis=0).reshape(r, s, -1)
+        # succ[t, b, a]: member b is in {a} ∪ aT ∪ Ta, read off the bits of
+        # a's words at the members of T (the successor relation transposed,
+        # which leaves the symmetric J below as it is); the diagonal is {a}
+        succ = np.unpackbits(words.view(np.uint8), axis=2, bitorder="little")
+        del words
+        succ = succ.transpose(0, 2, 1)[:, :8 * nb][bits].reshape(r, s, s).astype(np.float32)
         succ.reshape(r, s * s)[:, ::s + 1] = 1
         # the ideal of a is {a} | aT | Ta | TaT, and TaT = T(aT) lies in
-        # the successors of aT, so two steps from a reach all of it
+        # the successors of aT, so two steps from a reach all of it: row c
+        # of the square marks the members whose ideal holds c
         ideal = np.matmul(succ, succ) > 0
         # a and b are J-related when each lies in the ideal of the other;
         # a starts a new class when the first member J-related to it is a

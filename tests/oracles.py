@@ -204,6 +204,45 @@ def brute_d_leq(table):
             if ia <= ib}
 
 
+def dclasses_by_products(table, masks):
+    """The number of D-classes of each subsemigroup in the packed mask rows
+    ``masks`` (element i at bit i & 7 of byte i >> 3), from its s x s
+    products read off ``table``: the successors {a} ∪ aT ∪ Ta of every
+    member a are scattered into a 0/1 matrix, whose boolean square gives
+    every principal ideal {a} ∪ aT ∪ Ta ∪ TaT.  A member starts a new
+    class when no lower member has the same ideal.  The masks of one size
+    go together, 64 at a time."""
+    bits = np.unpackbits(masks, axis=1, bitorder="little").view(bool)
+    sizes = bits.sum(axis=1)
+    counts = np.zeros(len(masks), int)
+    for s in set(sizes.tolist()) - {0}:
+        rows = np.flatnonzero(sizes == s)
+        for k in range(0, len(rows), 64):
+            part = rows[k:k + 64]
+            counts[part] = _dclasses_of_size(table, bits[part], s)
+    return counts
+
+
+def _dclasses_of_size(table, bits, s):
+    """``dclasses_by_products`` of the unpacked masks ``bits``, all of size s."""
+    r, n = bits.shape
+    members = np.nonzero(bits)[1].reshape(r, s)  # ascending in each row
+    # the member number of each element of each mask, flat over the rows
+    local = np.cumsum(bits, axis=1).ravel() - 1
+    products = table[members[:, :, None], members[:, None, :]]
+    ab = local[products + (n * np.arange(r))[:, None, None]]
+    # succ[t, a, b]: member b is in {a} ∪ aT ∪ Ta, set at flat index
+    # t·s² + a·s + b; a block's diagonal is every (s+1)th of its s² entries
+    succ = np.zeros((r, s, s), np.float32)
+    flat, starts = succ.reshape(-1), (s * np.arange(r * s)).reshape(r, s, 1)
+    flat[starts + ab] = 1
+    flat[starts + ab.transpose(0, 2, 1)] = 1
+    succ.reshape(r, s * s)[:, ::s + 1] = 1
+    ideal = np.matmul(succ, succ) > 0
+    j = ideal & ideal.transpose(0, 2, 1)
+    return (j.argmax(axis=2) == np.arange(s)).sum(axis=1)
+
+
 def is_two_sided_ideal(table, subset):
     """Whether x*s and s*x lie in the nonempty ``subset`` for every
     element x and every s in ``subset``, read off the full table."""

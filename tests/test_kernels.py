@@ -10,7 +10,7 @@ from diagsemi.formulas import family_order
 from diagsemi.kernels import Backend, pack_masks, unpack_masks
 
 from .conftest import monoid
-from .oracles import NibbleClosure, brute_j_classes, is_closed
+from .oracles import NibbleClosure, brute_j_classes, dclasses_by_products, is_closed
 from .test_census import TABLE3
 
 def _kernels(table, perms=None):
@@ -196,23 +196,28 @@ def test_fold_table_at_the_census_bound_is_under_1_mib():
     assert kernels_module._fold_table(perms, single).nbytes == 30 * 16 * 120 * 2 * 8 <= 1 << 20
 
 
+def _wide_masks(n):
+    """Closed masks of the capped sum on ``n`` elements, past 64 of them:
+    the empty set, the singles' closures and their children, and sparse
+    closed masks, whose images often tie on the high words (the top
+    element with any three from n // 2 up)."""
+    table = _capped_sum(n)
+    rng = random.Random(n)
+    kernels = _kernels(table)
+    singles = list(_children(kernels, n, 0, 0).values())
+    masks = {0} | set(singles)
+    for mask in rng.sample(singles, 12):
+        masks.update(_children(kernels, n, mask, 0).values())
+    masks.update(sum(1 << e for e in rng.sample(range(n // 2, n - 1), 3)) | 1 << (n - 1)
+                 for _ in range(12))
+    return sorted(masks)
+
+
 def test_min_image_and_dclasses_wider_than_64():
     """Masks of two and three 64-bit words: the fold compares images
     word by word from the highest, so it needs ties past the first."""
     for n in (70, 140):
-        table = _capped_sum(n)
-        rng = random.Random(n)
-        perms = _random_group(n, n)
-        kernels = _kernels(table, perms)
-        singles = list(_children(kernels, n, 0, 0).values())
-        masks = {0} | set(singles)
-        for mask in rng.sample(singles, 12):
-            masks.update(_children(kernels, n, mask, 0).values())
-        # sparse closed masks, whose images often tie on the high words:
-        # the top element with any three from n // 2 up
-        masks.update(sum(1 << e for e in rng.sample(range(n // 2, n - 1), 3)) | 1 << (n - 1)
-                     for _ in range(12))
-        _check_against_oracles(table, perms, sorted(masks))
+        _check_against_oracles(_capped_sum(n), _random_group(n, n), _wide_masks(n))
     # a least image whose middle word is all ones, which an image not tied
     # on the top word can match there and then beat on the low word; x·y = x
     # closes every set
@@ -280,14 +285,22 @@ def test_batches_around_one_chunk(monkeypatch, kernel):
         assert lengths == [chunk] * (size // chunk) + [size % chunk] * (size % chunk > 0)
 
 
-@pytest.mark.parametrize("family,n", [("I", 3), ("TL", 5)])
+@pytest.mark.parametrize("family,n", [("I", 3), ("TL", 5), ("capped_sum", 70)])
 def test_dclass_chunks_hold_about_the_chunk_budget(monkeypatch, family, n):
-    """Over every class of the census, each chunk of ``count_dclasses``,
-    the unpacking of its masks included, peaks at no more than 1.25 times
-    ``_CHUNK_BYTES`` of temporaries (by tracemalloc)."""
-    S = monoid(family, n)
-    classes = census.census_up_to_conjugacy(S)[0].rows
-    kernels = _kernels(S.multiplication_table())
+    """Over every class of the census, and over the closed masks of the
+    capped sum past 64 elements, each chunk of ``count_dclasses``, the
+    unpacking of its masks included, peaks at no more than 1.25 times
+    ``_CHUNK_BYTES`` of temporaries (by tracemalloc).  The capped sum's
+    masks go in four times over, so that its chunks fill."""
+    if family == "capped_sum":
+        table = _capped_sum(n)
+        masks = np.tile(pack_masks(_wide_masks(n), n), (4, 1))
+        expected = dclasses_by_products(table, masks)
+    else:
+        table = monoid(family, n).multiplication_table()
+        classes = census.census_up_to_conjugacy(monoid(family, n))[0].rows
+        masks, expected = classes["mask"], classes["d_classes"]
+    kernels = _kernels(table)
     peaks, dclasses_of_size = [], Backend._dclasses_of_size
 
     def measured(self, masks, s):
@@ -300,11 +313,54 @@ def test_dclass_chunks_hold_about_the_chunk_budget(monkeypatch, family, n):
     monkeypatch.setattr(Backend, "_dclasses_of_size", measured)
     tracemalloc.start()
     try:
-        counts = kernels.count_dclasses(classes["mask"])
+        counts = kernels.count_dclasses(masks)
     finally:
         tracemalloc.stop()
-    assert np.array_equal(counts, classes["d_classes"])
+    assert np.array_equal(counts, expected)
     assert len(peaks) > 1 and max(peaks) <= 1.25 * kernels_module._CHUNK_BYTES
+
+
+def _check_dclasses_against_the_products(family, n):
+    """``count_dclasses`` on every class of the census of ``family`` n
+    against the D-class count from the s x s products of each class."""
+    S = monoid(family, n)
+    table = S.multiplication_table()
+    masks = census.census_up_to_conjugacy(S)[0].rows["mask"]
+    assert np.array_equal(_kernels(table).count_dclasses(masks), dclasses_by_products(table, masks))
+
+
+@pytest.mark.parametrize("family,n", [("I", 3), ("IS", 3), ("T", 3), ("TL", 5), ("P", 2),
+                                      ("B", 2), ("Br", 3)])
+def test_dclasses_against_the_product_oracle(family, n):
+    _check_dclasses_against_the_products(family, n)
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("family,n", [("Br", 4), ("PT", 3)])
+def test_dclasses_against_the_product_oracle_stretch(family, n):
+    """Br_4 holds its masks in two 64-bit words; PT_3 has 94,232 classes."""
+    _check_dclasses_against_the_products(family, n)
+
+
+def test_spans_of_a_count_are_those_of_weights_of_one():
+    """A number of items is cut as that many items of weight one."""
+    for count in range(301):
+        ones = np.ones(count, int)
+        for step in range(1, 41):
+            assert kernels_module._spans(count, step) == kernels_module._spans(ones, step)
+
+
+def test_spans_of_a_count_build_no_array():
+    """The slices of PT_3's 94,232 classes, 512 at a time, take a list of
+    185 slices and no array of the items (which took 758 KiB)."""
+    tracemalloc.start()
+    try:
+        spans = kernels_module._spans(94232, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spans) == 185 and spans[-1] == slice(94208, 94232)
+    assert peak < 64 << 10
 
 
 def test_count_idempotents_against_the_diagonal():
