@@ -17,21 +17,34 @@ elements above e; ``root`` is the array of the one state of the whole
 search, with e = -1.  ``extend_window`` runs one level of the search for
 a whole state array at once and returns the next level as one.  Its
 candidates are the pairs (state, f) with f > e and f not in M, as many
-as a state's ``Backend.weights`` at most, and all of them
-close together by semi-naive rounds: with C the set so far and D the
-elements the last round added (at first {f}, as M is closed), a round
-adds ``new = (D·C ∪ C·D) \\ C`` to every row.  A row is dropped in the
-first round whose ``new`` holds an element below its f, the canonicity
-test of Close-by-One, so the closures it drops cost little.  Each
-product is one gather through a byte lookup table: the rows of element x
-and byte chunk c (elements 8c .. 8c+7) are 256 packed masks, and row b
-is the OR of ``x·y | y·x`` over the elements y of the chunk whose bits
-are set in b.  ``x·C ∪ C·x`` is then the OR of the ⌈N/8⌉ rows picked by
-the bytes of C, and one ``np.bitwise_or.reduceat`` ORs them over the
-members x of D of each row.  The search holds its sets, and the table
-its rows, in whole uint64 words, which gather and OR several times
-faster than bytes: the table takes N·⌈N/8⌉·256·8⌈N/64⌉ bytes, 8 MiB at
-the census bound of 128 elements.
+as a state's ``Backend.weights`` at most, read off whole words: with the
+masks padded to uint64 words, the free elements of a state are those
+from e + 1 up (a row of ``Backend._from``) outside M, and one
+``np.flatnonzero`` of their bits, divmod 8⌈N/8⌉, gives every candidate
+of a chunk of states.  All of them close together by semi-naive rounds:
+with C the set so far and D the elements the last round added (at
+first {f}, as M is closed), a round adds ``new = (D·C ∪ C·D) \\ C`` to
+every row.  A row is dropped in the first round whose ``new`` holds an
+element below its f, the canonicity test of Close-by-One, so the
+closures it drops cost little.  Each product is one gather through a
+byte lookup table: the rows of element x and byte chunk c (elements
+8c .. 8c+7) are 256 packed masks, and row b is the OR of ``x·y | y·x``
+over the elements y of the chunk whose bits are set in b.  ``x·C ∪ C·x``
+is then the OR of the ⌈N/8⌉ rows picked by the bytes of C.  A round
+gathers them for all its pairs (row, x in D) at once and chunk-major:
+the row numbers 256·(⌈N/8⌉·x + c) + byte c of C make one (⌈N/8⌉, P)
+array, one ``np.take`` gathers them and ``np.bitwise_or.reduce`` ORs
+them over the chunks, whole arrays at a time.  When each row has one
+pair, as every row has in the first round, the gathered words are the
+products; only when some row has several does
+``np.bitwise_or.reduceat`` OR its run of pairs.  The search holds its
+sets, and the table its rows, in whole uint64 words, which gather and
+OR several times faster than bytes: the table takes
+N·⌈N/8⌉·256·8⌈N/64⌉ bytes, 8 MiB at the census bound of 128 elements.
+A chunk of candidates gives half its budget to the arrays of its
+candidates through their rounds and half to each gather of pairs, at
+the costs that ``Backend._search_bytes`` gives, as measured by
+tracemalloc.
 
 ``min_image`` folds the packed rows of one level by the same lookup
 trick, on a table per nibble chunk: row 16c + v holds, for every g in
@@ -42,12 +55,14 @@ unpacking and no sort.  The minimal image is the least of them compared
 word by word from the highest, among the images tied on every higher
 word, and the orbit size is |G| / #{g : gM = M}, so the permutations
 must form a group.  The table takes 16·⌈N/4⌉·|G|·8⌈N/64⌉ bytes: 7 KiB
-for I_3 and 0.9 MiB for S_5.
+for I_3 and 0.9 MiB for S_5.  A mask costs it 16·|G|·8⌈N/64⌉ bytes, its
+images and the rows ORed into them, plus its fold row indices
+(``Backend._fold_bytes``).
 
 ``count_dclasses`` takes the masks of one size s together and reads the
 successors {x} ∪ xT ∪ Tx of every member x of each subsemigroup T off
 the search's lookup table: xT ∪ Tx is the OR of the ⌈N/8⌉ rows picked
-by x and the bytes of T, the gather of a closure round.  Unpacking
+by x and the bytes of T, one gather of a closure round.  Unpacking
 those words at the members of T gives an s x s 0/1 matrix, with no
 product read from a table and no scatter, and one stacked float32
 square of those matrices gives every principal ideal.  A member starts
@@ -196,20 +211,43 @@ class Backend:
     def __init__(self, table, perms):
         self._n = n = len(table)
         self._bytes = nb = (n + 7) // 8
+        self._words = (n + 63) // 64
         self._single = _words(np.eye(n, dtype=bool))
         self._lookup = _lookup_table(table, self._single)
-        # the first lookup row of each element and chunk
-        self._cells = 256 * np.arange(n * nb).reshape(n, nb)
-        self._below = _words(np.tri(n + 1, n, -1, bool))  # row e: the elements below e
-        # the temporaries of one candidate: its gathered lookup rows and their indices
-        self._pair_bytes = nb * (self._lookup.itemsize * self._lookup.shape[1] + 8)
+        # the first lookup row of each byte chunk of element 0, as a column
+        self._lookup_rows = 256 * np.arange(nb)[:, None]
+        below = np.tri(n + 1, n, -1, bool)
+        self._below = _words(below)  # row e: the elements below e
+        self._from = _words(~below)  # row e: the elements from e up
         self._idempotent = mask_row(np.flatnonzero(np.diagonal(table) == np.arange(n)), n)
         self._order = len(perms)
-        self._words = (n + 63) // 64
         self._fold = _fold_table(perms, self._single)
         # the first fold row of each nibble chunk, for every nibble a mask
         # row holds (two a byte); those past N are never read
         self._chunk_rows = (16 * np.arange(2 * nb, dtype=np.uint16))[:, None]
+
+    def _pad(self, masks):
+        """Packed ``masks`` padded to whole uint64 words."""
+        words = np.zeros((len(masks), self._words), np.uint64)
+        words.view(np.uint8)[:, :self._bytes] = masks
+        return words
+
+    def _elements(self, words):
+        """The pairs (row, element) of the elements of packed word rows, row
+        by row, read off the bits of their ⌈N/8⌉ bytes."""
+        nb = self._bytes
+        return np.divmod(np.flatnonzero(self._bits(words.view(np.uint8)[:, :nb])), 8 * nb)
+
+    def _gather(self, x, chunks, out=None):
+        """x·C ∪ C·x in packed words for each element x of ``x``, where the
+        same column of ``chunks`` holds the ⌈N/8⌉ bytes of its C: the OR
+        over the chunks c of lookup row 256·(⌈N/8⌉·x + c) + byte c of C,
+        gathered chunk-major, so that the OR runs over whole arrays."""
+        index = (256 * self._bytes) * x + self._lookup_rows
+        index += chunks
+        words = np.take(self._lookup, index.ravel(), axis=0)
+        del index
+        return np.bitwise_or.reduce(words.reshape(self._bytes, len(x), -1), axis=0, out=out)
 
     @staticmethod
     def _bits(masks):
@@ -226,87 +264,113 @@ class Backend:
         array: for each state k and each element f above its e and not in
         its mask whose closure with the mask gains no element below f, the
         record (k, f, that closure)."""
-        n, out = self._n, [states[:0]]
-        for part in _spans(self.weights(states), _CHUNK_BYTES // self._pair_bytes):
-            free = ~self._bits(states["mask"][part])[:, :n] & (np.arange(n) > states["e"][part, None])
-            state, e = np.nonzero(free)
-            out.append(self._close(states, state + part.start, e))
-        return np.concatenate(out)
+        parts = _spans(self.weights(states), _CHUNK_BYTES // (2 * self._search_bytes()[0]))
+        return np.concatenate([states[:0], *(self._close(states[part], part.start) for part in parts)])
 
-    def _close(self, states, state, e):
-        """The children records of the candidates (state, e) of ``states``."""
-        nb = self._bytes
-        c = np.zeros((len(e), self._single.shape[1]), np.uint64)
-        c.view(np.uint8)[:, :nb] = states["mask"][state]
+    def _search_bytes(self):
+        """The peak bytes of temporaries of ``_close``, as measured by
+        tracemalloc, each of which takes half a chunk: those of a candidate
+        through its rounds (its state, e, row, set and products), and those
+        of a pair in a gather (the bytes of its set, its lookup indices and
+        numpy's buffer for casting the bytes to them, its lookup rows and
+        its products)."""
+        nb, words = self._bytes, self._words
+        return 24 + 16 * words, nb * (8 * words + 17) + 16 * words
+
+    def _close(self, states, start):
+        """The children records of the state array ``states``, whose first
+        state is state ``start`` of its level."""
+        words = self._pad(states["mask"])
+        # the candidates (state, e): the elements above e and not in the mask
+        free = self._from[states["e"] + 1]
+        free &= ~words
+        state, e = self._elements(free)
+        del free
+        c = words[state]
         c |= self._single[e]
+        del words
         # the candidates still closing, and the pairs (row of c, x in its D)
         live = rows = np.arange(len(e))
         xs = e
         kept, closed = [live[:0]], [c[:0]]
         while len(live):
-            new = self._products(c, rows, xs) & ~c
+            new = self._products(c, rows, xs)
+            new &= ~c
             canonical = ~(new & self._below[e[live]]).any(axis=1)
             grows = new.any(axis=1)
+            c |= new
             done = canonical & ~grows
             kept.append(live[done])
             closed.append(c[done])
             more = canonical & grows
-            live, c, new = live[more], c[more] | new[more], new[more]
-            rows, xs = np.nonzero(self._bits(new.view(np.uint8)))
+            live, c = live[more], c[more]
+            rows, xs = self._elements(new[more])
+            del new  # not held through the next round
         kept = np.concatenate(kept)
         out = np.empty(len(kept), states.dtype)
-        out["state"], out["e"] = state[kept], e[kept]
-        out["mask"] = np.concatenate(closed).view(np.uint8)[:, :nb]
+        out["state"], out["e"] = state[kept] + start, e[kept]
+        out["mask"] = np.concatenate(closed).view(np.uint8)[:, :self._bytes]
         return out
 
     def _products(self, c, rows, xs):
         """For each row C of ``c``, the OR of ``x·C ∪ C·x`` over the pairs
         (row, x) of ``rows`` (ascending, every row in one at least) and ``xs``."""
-        nb = self._bytes
-        out = np.zeros_like(c)
-        index = c.view(np.uint8)[:, :nb]
-        for part in _spans(len(rows), _CHUNK_BYTES // self._pair_bytes):
-            r, x = rows[part], xs[part]
-            # the ⌈N/8⌉ lookup rows of every pair, then their OR per row
-            chunks = np.take(self._lookup, (self._cells[x] + index[r]).ravel(), axis=0)
-            starts = np.flatnonzero(np.diff(r, prepend=-1))
-            out[r[starts]] |= np.bitwise_or.reduceat(chunks, starts * nb)
+        chunks = c.view(np.uint8)[:, :self._bytes].T
+        one = len(rows) == len(c)  # one pair a row, so rows is arange(len(c))
+        out = np.empty_like(c) if one else np.zeros_like(c)
+        for part in _spans(len(rows), _CHUNK_BYTES // (2 * self._search_bytes()[1])):
+            if one:  # the gathered words are the products
+                self._gather(xs[part], chunks[:, part], out[part])
+            else:  # the rows of a part are consecutive, each with a run of pairs
+                r = rows[part]
+                words = self._gather(xs[part], np.take(chunks, r, axis=1))
+                starts = np.searchsorted(r, np.arange(r[0], r[-1] + 1))
+                out[r[0]:r[-1] + 1] |= np.bitwise_or.reduceat(words, starts)
         return out
 
     def min_image(self, masks):
         """The minimal image of each packed mask under the permutations, which
         must form a group, as packed rows, and the size of its orbit."""
-        nb, order, words = self._bytes, self._order, self._words
-        reps, orbits = [np.empty((0, nb), np.uint8)], [np.empty(0, int)]
-        for part in _spans(len(masks), _CHUNK_BYTES // (16 * order * words)):
-            chunk = masks[part]
-            # the fold row of every nibble chunk of every mask, chunk by chunk
-            rows = np.empty((2 * nb, len(chunk)), np.uint16)
-            np.bitwise_and(chunk.T, 15, out=rows[::2])
-            np.right_shift(chunk.T, 4, out=rows[1::2])
-            rows += self._chunk_rows
-            rows = rows[:(self._n + 3) // 4]
-            images = np.take(self._fold, rows[0], axis=0)
-            for index in rows[1:]:
-                images |= np.take(self._fold, index, axis=0)
-            images = images.reshape(len(chunk), order, words)
-            # the least image, word by word from the highest, among the
-            # images tied on every higher word
-            least = np.empty((len(chunk), words), np.uint64)
-            word = images[:, :, -1]
-            for w in range(words - 1, -1, -1):
-                least[:, w] = word.min(axis=1)
-                if w:
-                    ties = word == least[:, w, None]
-                    tied = ties if w == words - 1 else tied & ties
-                    word = np.where(tied, images[:, :, w - 1], _TOP)
-            reps.append(least.view(np.uint8)[:, :nb])
-            # |orbit| = |G| / |stabiliser|
-            own = np.zeros((len(chunk), 8 * words), np.uint8)
-            own[:, :nb] = chunk
-            fixed = (images == own.view(np.uint64)[:, None]).all(axis=2)
-            orbits.append(order // np.count_nonzero(fixed, axis=1))
+        reps, orbits = [np.empty((0, self._bytes), np.uint8)], [np.empty(0, int)]
+        for part in _spans(len(masks), _CHUNK_BYTES // self._fold_bytes()):
+            least, orbit = self._min_images(masks[part])
+            reps.append(least)
+            orbits.append(orbit)
         return np.concatenate(reps), np.concatenate(orbits)
+
+    def _fold_bytes(self):
+        """The peak bytes of temporaries of ``_min_images`` a mask, as
+        measured by tracemalloc: its |G| images and the gathered rows ORed
+        into them, in uint64 words, and its fold row indices, the uint16
+        ones and the intp copy that ``np.take`` makes of one row of them."""
+        return 16 * self._order * self._words + 4 * self._bytes + 8
+
+    def _min_images(self, masks):
+        """``min_image`` of one chunk of packed ``masks``."""
+        nb, order, words = self._bytes, self._order, self._words
+        # the fold row of every nibble chunk of every mask, chunk by chunk
+        rows = np.empty((2 * nb, len(masks)), np.uint16)
+        np.bitwise_and(masks.T, 15, out=rows[::2])
+        np.right_shift(masks.T, 4, out=rows[1::2])
+        rows += self._chunk_rows
+        rows = rows[:(self._n + 3) // 4]
+        images = np.take(self._fold, rows[0], axis=0)
+        for index in rows[1:]:
+            images |= np.take(self._fold, index, axis=0)
+        images = images.reshape(len(masks), order, words)
+        # the least image, word by word from the highest, among the images
+        # tied on every higher word
+        least = np.empty((len(masks), words), np.uint64)
+        word = images[:, :, -1]
+        for w in range(words - 1, -1, -1):
+            least[:, w] = word.min(axis=1)
+            if w:
+                ties = word == least[:, w, None]
+                tied = ties if w == words - 1 else tied & ties
+                word = np.where(tied, images[:, :, w - 1], _TOP)
+        # |orbit| = |G| / |stabiliser|
+        fixed = (images == self._pad(masks)[:, None]).all(axis=2)
+        return least.view(np.uint8)[:, :nb], order // np.count_nonzero(fixed, axis=1)
 
     def count_idempotents(self, masks):
         return popcount(masks & self._idempotent)
@@ -336,13 +400,9 @@ class Backend:
         bits = self._bits(masks)
         members = np.flatnonzero(bits).reshape(r, s)  # ascending in each row
         members -= 8 * nb * np.arange(r)[:, None]
-        # aT ∪ Ta for each member a of each mask T, in packed words: the OR
-        # of the ⌈N/8⌉ lookup rows picked by a and the bytes of T, gathered
-        # chunk by chunk so that the OR runs over whole arrays
-        index = (256 * nb) * members + (256 * np.arange(nb)[:, None] + masks.T)[:, :, None]
-        words = np.take(self._lookup, index.ravel(), axis=0).reshape(nb, r * s, -1)
-        del members, index  # the gather's temporaries, not held through the squares
-        words = np.bitwise_or.reduce(words, axis=0).reshape(r, s, -1)
+        # aT ∪ Ta for each member a of each mask T, in packed words
+        words = self._gather(members.ravel(), np.repeat(masks.T, s, axis=1)).reshape(r, s, -1)
+        del members
         # succ[t, b, a]: member b is in {a} ∪ aT ∪ Ta, read off the bits of
         # a's words at the members of T (the successor relation transposed,
         # which leaves the symmetric J below as it is); the diagonal is {a}

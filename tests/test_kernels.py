@@ -145,6 +145,18 @@ def test_search_against_the_python_closure_on_random_tables(n):
         _check_search_against_the_oracle(_random_magma(n, seed))
 
 
+@pytest.mark.parametrize("ambient", ["I3", "magma19", "magma67"])
+def test_search_against_the_python_closure_in_tiny_chunks(monkeypatch, ambient):
+    """With chunks of 1 KiB, every level of the search and every round of
+    its closures split into many parts, so that a part of a round can hold
+    as many pairs as the round has sets without one pair a set.  The magma
+    on 67 elements is two 64-bit words wide."""
+    table = (monoid("I", 3).multiplication_table() if ambient == "I3"
+             else _random_magma(int(ambient[5:]), 0))
+    monkeypatch.setattr(kernels_module, "_CHUNK_BYTES", 1 << 10)
+    _check_search_against_the_oracle(table)
+
+
 def test_search_against_the_python_closure_wider_than_64():
     """The capped sum has too many closed sets for the whole tree: the
     children of the root, of states with lo past 0, and of the singles
@@ -285,6 +297,22 @@ def test_batches_around_one_chunk(monkeypatch, kernel):
         assert lengths == [chunk] * (size // chunk) + [size % chunk] * (size % chunk > 0)
 
 
+def _chunk_peaks(monkeypatch, method):
+    """The tracemalloc peak of temporaries of each call of the ``Backend``
+    chunk ``method``, over what was held before it, as it is called."""
+    peaks, chunk = [], getattr(Backend, method)
+
+    def measured(self, *args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = chunk(self, *args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(Backend, method, measured)
+    return peaks
+
+
 @pytest.mark.parametrize("family,n", [("I", 3), ("TL", 5), ("capped_sum", 70)])
 def test_dclass_chunks_hold_about_the_chunk_budget(monkeypatch, family, n):
     """Over every class of the census, and over the closed masks of the
@@ -301,22 +329,60 @@ def test_dclass_chunks_hold_about_the_chunk_budget(monkeypatch, family, n):
         classes = census.census_up_to_conjugacy(monoid(family, n))[0].rows
         masks, expected = classes["mask"], classes["d_classes"]
     kernels = _kernels(table)
-    peaks, dclasses_of_size = [], Backend._dclasses_of_size
-
-    def measured(self, masks, s):
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        counts = dclasses_of_size(self, masks, s)
-        peaks.append(tracemalloc.get_traced_memory()[1] - before)
-        return counts
-
-    monkeypatch.setattr(Backend, "_dclasses_of_size", measured)
+    peaks = _chunk_peaks(monkeypatch, "_dclasses_of_size")
     tracemalloc.start()
     try:
         counts = kernels.count_dclasses(masks)
     finally:
         tracemalloc.stop()
     assert np.array_equal(counts, expected)
+    assert len(peaks) > 1 and max(peaks) <= 1.25 * kernels_module._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("family,n", [("I", 3), ("TL", 5), ("capped_sum", 70)])
+def test_search_chunks_hold_about_the_chunk_budget(monkeypatch, family, n):
+    """Over every level of the search, and over the first levels of the
+    capped sum past 64 elements, whose closures gain several elements a
+    round, each chunk of ``extend_window`` peaks at no more than 1.25
+    times ``_CHUNK_BYTES`` of temporaries (by tracemalloc)."""
+    table = _capped_sum(n) if family == "capped_sum" else monoid(family, n).multiplication_table()
+    kernels = _kernels(table)
+    peaks = _chunk_peaks(monkeypatch, "_close")
+    level, found = kernels_module.root(len(table)), 0
+    tracemalloc.start()
+    try:
+        for _ in range(3 if family == "capped_sum" else len(table) + 1):
+            found += len(level)
+            level = kernels.extend_window(level)
+    finally:
+        tracemalloc.stop()
+    if family != "capped_sum":
+        assert not len(level) and found == len(all_subsemigroup_masks(monoid(family, n)))
+    assert len(peaks) > 1 and max(peaks) <= 1.25 * kernels_module._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("family,n", [("I", 3), ("TL", 5), ("capped_sum", 70)])
+def test_fold_chunks_hold_about_the_chunk_budget(monkeypatch, family, n):
+    """Over every closed set of the census, and over the closed masks of
+    the capped sum past 64 elements under a group of order 8, four times
+    over, each chunk of ``min_image`` peaks at no more than 1.25 times
+    ``_CHUNK_BYTES`` of temporaries (by tracemalloc)."""
+    if family == "capped_sum":
+        table, perms = _capped_sum(n), _random_group(n, n)
+        masks = np.tile(pack_masks(_wide_masks(n), n), (4, 1))
+    else:
+        S = monoid(family, n)
+        table, perms = S.multiplication_table(), symmetry_group(S).index_perms
+        masks = pack_masks(all_subsemigroup_masks(S), len(S))
+    kernels = _kernels(table, perms)
+    peaks = _chunk_peaks(monkeypatch, "_min_images")
+    tracemalloc.start()
+    try:
+        reps, orbits = kernels.min_image(masks)
+    finally:
+        tracemalloc.stop()
+    if family != "capped_sum":  # the closed sets are whole orbits: 1/|orbit| a set sums to the classes
+        assert len(np.unique(kernels_module.sort_keys(reps))) == round((1 / orbits).sum())
     assert len(peaks) > 1 and max(peaks) <= 1.25 * kernels_module._CHUNK_BYTES
 
 
